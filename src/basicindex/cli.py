@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 computational mismatch or failed check,
-2 input error (unreadable file, schema violation, dimension mismatch).
+2 input error (unreadable file, schema violation, dimension mismatch, bad
+numeric flag).
 Numeric output is printed with 12 significant digits and is deterministic.
-The environment variable BASICINDEX_TOL (a decimal value) overrides the
-default structural tolerance of 1e-9.
+The environment variable BASICINDEX_TOL (a finite positive decimal value)
+overrides the default structural tolerance of 1e-9.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,6 +27,7 @@ from .local_index import (
     validate_closure,
 )
 from .localization import (
+    MIN_MODES,
     CircleModelError,
     DiscretizationError,
     convergence_report,
@@ -52,14 +55,40 @@ COMPUTE_ERRORS = (ClosureValidationError, LinalgError, DegenerateEigenvalueError
                   DiscretizationError)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal value: {text!r}") from None
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive value, got {text!r}")
+    return x
+
+
+def _positive_floats(text: str) -> list[float]:
+    return [_positive_float(x) for x in text.split(",")]
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {n}")
+        return n
+    return parse
+
+
 def default_tol() -> float:
     raw = os.environ.get("BASICINDEX_TOL")
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioFormatError("BASICINDEX_TOL", f"not a decimal value: {raw!r}")
+        return _positive_float(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ScenarioFormatError("BASICINDEX_TOL", str(exc)) from None
 
 
 def fmt(x: float) -> str:
@@ -199,8 +228,7 @@ def cmd_localize(args) -> int:
     model = _load(args.scenario)
     if model.circle_model is None:
         raise ScenarioFormatError(args.scenario, "scenario has no circle_model section")
-    s_list = [float(x) for x in args.s.split(",")]
-    report = convergence_report(model.circle_model, s_list, args.jmax, args.modes)
+    report = convergence_report(model.circle_model, args.s, args.jmax, args.modes)
     payload = {
         "rows": [{"s": r.s, "modes": r.n_modes, "eigenvalues": r.eigenvalues.tolist(),
                   "gap": r.gap, "spectral_index": r.spectral_index} for r in report.rows],
@@ -247,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="basicindex",
         description="Localized index computations for perturbed transversal "
                     "Dirac-type operators")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_positive_float, default=None,
                         help="structural tolerance (default 1e-9 or BASICINDEX_TOL)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -264,16 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spectrum", cmd_spectrum, "analytic model spectrum at one closure")
     p.add_argument("scenario")
     p.add_argument("--closure", required=True)
-    p.add_argument("--count", type=int, default=12)
+    p.add_argument("--count", type=_int_at_least(1), default=12)
     p.add_argument("--numerical", action="store_true",
                    help="also compare against the 1D finite-difference oracle")
     p = add("model-check", cmd_model_check, "model kernel dims vs the index formula")
     p.add_argument("scenario")
     p = add("localize", cmd_localize, "spectral localization sweep of the circle model")
     p.add_argument("scenario")
-    p.add_argument("--s", default="10,100,1000")
-    p.add_argument("--modes", type=int, default=128)
-    p.add_argument("--jmax", type=int, default=4)
+    p.add_argument("--s", type=_positive_floats, default="10,100,1000",
+                   help="comma-separated list of increasing positive s values")
+    p.add_argument("--modes", type=_int_at_least(MIN_MODES), default=128)
+    p.add_argument("--jmax", type=_int_at_least(1), default=4)
     sub.add_parser("list-examples", help="enumerate bundled scenarios") \
         .set_defaults(fn=cmd_list_examples, format="text")
     p = sub.add_parser("run-corpus", help="run all bundled scenarios against "

@@ -106,6 +106,7 @@ class JointEigenstructure:
     basis: Array  # (dim, dim) unitary
     eigentuples: Array  # (dim, n_ops) real
     tol: float
+    clusters: tuple[tuple[int, int], ...]  # (start, stop) ranges of equal eigentuples
 
     @property
     def dim(self) -> int:
@@ -145,6 +146,7 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
 
     basis = np.eye(dim, dtype=complex)
     tuples = np.zeros((dim, len(mats)))
+    clusters: list[tuple[int, int]] = []
 
     def refine(cols: np.ndarray, level: int) -> np.ndarray:
         if level == len(mats) or len(cols) <= 1:
@@ -152,6 +154,8 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
                 for j in range(level, len(mats)):
                     sub = basis[:, cols].conj().T @ mats[j] @ basis[:, cols]
                     tuples[cols[0], j] = float(sub[0, 0].real)
+            if len(cols):
+                clusters.append((int(cols[0]), int(cols[-1]) + 1))
             return cols
         block = basis[:, cols]
         sub = block.conj().T @ mats[level] @ block
@@ -176,7 +180,8 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
         if resid > 1e-9 * scales[j] * max(1.0, dim):
             raise LinalgError(f"joint diagonalization failed to reconstruct operator {j} "
                               f"(residual {resid:.3e})")
-    return JointEigenstructure(basis=basis, eigentuples=tuples, tol=tol)
+    return JointEigenstructure(basis=basis, eigentuples=tuples, tol=tol,
+                               clusters=tuple(clusters))
 
 
 def negative_eigenspace(struct: JointEigenstructure, j: int, sign_tol: float = 1e-8) -> Subspace:

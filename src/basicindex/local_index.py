@@ -11,21 +11,19 @@ eigenspaces, and the global index is the sum over closures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
 
 from .cliff import CliffordModule
 from .holonomy import HolonomyGroup, NotInvariantError, check_equivariance, invariant_dim_in
 from .linalg import (
+    DegenerateEigenvalueError,
     JointEigenstructure,
     LinalgError,
     Subspace,
     hermitian_eig,
     joint_eig,
-    negative_eigenspace,
-    subspace_intersection,
 )
 
 Array = np.ndarray
@@ -75,6 +73,7 @@ class ClosureValidation:
     closure: str
     checks: tuple[ValidationCheck, ...]
     gram: Array  # the m x m scalar matrix G_jk
+    l_ops: tuple[Array, ...] = field(default=(), repr=False)  # L_j = c_j Z_j, once computed
 
     @property
     def passed(self) -> bool:
@@ -94,19 +93,6 @@ class ClosureValidation:
             lines.append(f"  [{status}] {c.name}: max violation {c.max_violation:.12g}"
                          + (f" ({c.note})" if c.note else ""))
         return "\n".join(lines)
-
-
-def _sphere_points(m: int, count: int = 64) -> Array:
-    """Deterministic low-discrepancy sample of the unit sphere S^(m-1)."""
-    if m == 1:
-        return np.array([[1.0], [-1.0]])
-    if m == 2:
-        angles = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    halton = stats.qmc.Halton(d=m, scramble=False)
-    pts = halton.random(count + 1)[1:]  # drop the origin-corner first point
-    gauss = special.ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
-    return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 
 def gram_matrix(d: ClosureDatum) -> tuple[Array, float]:
@@ -132,8 +118,8 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     Hard checks cover exactly what the index formula consumes: the module's
     Clifford relations, Hermitian odd Z_j anticommuting with their own c_j,
     scalar positive-definite G, the L_j operator properties, valid holonomy
-    matrices commuting with the grading, and sampled invertibility of
-    sum sigma_j Z_j on the unit sphere (nondegeneracy off the closure).
+    matrices commuting with the grading, and invertibility of sum sigma_j Z_j
+    on the whole unit sphere (nondegeneracy off the closure), by an exact bound.
     The all-pairs symbol anticommutation Z_j c_k + c_k Z_j = 0 is reported as
     a warning: it is sufficient for the zeroth-order localization condition
     but the transverse-signature example violates it and still localizes, as
@@ -183,9 +169,11 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     gram, gram_dev = gram_matrix(d)
     add("gram_scalar", "hard", gram_dev, tol * max(1.0, scale**2))
     gram_eigs = np.linalg.eigvalsh(gram)
-    spd_margin = float(gram_eigs[0]) / max(float(gram_eigs[-1]), tol)
-    checks.append(ValidationCheck("gram_positive_definite", "hard", spd_margin > tol,
-                                  max(0.0, -float(gram_eigs[0])),
+    lam_min = float(gram_eigs[0])
+    spd_cutoff = tol * max(float(gram_eigs[-1]), tol)
+    spd = lam_min > spd_cutoff
+    checks.append(ValidationCheck("gram_positive_definite", "hard", spd,
+                                  max(0.0, spd_cutoff - lam_min),
                                   f"eigenvalue range [{gram_eigs[0]:.3e}, {gram_eigs[-1]:.3e}]"))
 
     l_ops = [mod.c[j] @ d.z[j] for j in range(m)]
@@ -206,17 +194,17 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
         add("equivariance", "warning", equiv.max_violation, tol * scale,
             "diagnostic only; flagged data still computes")
 
-    if spd_margin > tol:
-        floor = math.sqrt(max(float(gram_eigs[0]), 0.0)) * (1.0 - tol)
-        worst_gap = 0.0
-        for sigma in _sphere_points(m):
-            zs = sum(sigma[j] * d.z[j] for j in range(m))
-            smin = float(np.linalg.svd(zs, compute_uv=False)[-1])
-            worst_gap = max(worst_gap, floor - smin)
-        add("nondegenerate_off_closure", "hard", worst_gap, tol * scale,
-            "smallest singular value of sum sigma_j Z_j vs sqrt(min eig G)")
+    if spd:
+        # For Hermitian Z_j, (sum sigma_j Z_j)^2 = sum_jk sigma_j sigma_k (Z_j Z_k + Z_k Z_j)/2
+        # and each anticommutator is within gram_dev of G_jk I, so on the whole unit
+        # sphere smin^2 >= sigma^T G sigma - (sum_j |sigma_j|)^2 gram_dev >= this bound.
+        bound = lam_min - m * gram_dev
+        gap = max(0.0, math.sqrt(lam_min) * (1.0 - tol) - math.sqrt(max(bound, 0.0)))
+        checks.append(ValidationCheck(
+            "nondegenerate_off_closure", "hard", herm <= tol * scale and gap <= tol * scale, gap,
+            "smallest singular value of sum sigma_j Z_j vs sqrt(min eig G)"))
 
-    return ClosureValidation(d.name, tuple(checks), gram)
+    return ClosureValidation(d.name, tuple(checks), gram, tuple(l_ops))
 
 
 def _l_property_violation(l_ops: list[Array], eps: Array, gram: Array) -> tuple[float, str]:
@@ -250,12 +238,14 @@ def build_L(d: ClosureDatum, tol: float = DEFAULT_TOL) -> list[Array]:
     """
     l_ops = [d.module.c[j] @ d.z[j] for j in range(d.module.m)]
     gram, _ = gram_matrix(d)
-    scale = max(1.0, float(np.linalg.norm(gram)))
-    viol, note = _l_property_violation(l_ops, d.module.grading, gram)
-    if viol > tol * scale:
+    _require_l_contract(*_l_property_violation(l_ops, d.module.grading, gram), gram, tol)
+    return l_ops
+
+
+def _require_l_contract(viol: float, note: str, gram: Array, tol: float) -> None:
+    if viol > tol * max(1.0, float(np.linalg.norm(gram))):
         raise ClosureValidationError(f"L operators violate their contract: {note} "
                                      f"(violation {viol:.3e})")
-    return l_ops
 
 
 @dataclass(frozen=True)
@@ -283,18 +273,62 @@ def graded_restrictions(d: ClosureDatum, tol: float = DEFAULT_TOL
     Returns ((U_plus, struct_plus), (U_minus, struct_minus)) where the U are
     orthonormal bases of the grading eigenspaces: the restriction is computed
     in an eigenbasis of the grading, not by index slicing, so explicit
-    non-diagonal gradings work.
+    non-diagonal gradings work.  These are the sides of analyze_closure.
     """
-    l_ops = build_L(d, tol)
+    return analyze_closure(d, tol).sides
+
+
+@dataclass(frozen=True)
+class ClosureAnalysis:
+    """A validated closure up to, not including, any holonomy step: sides as
+    graded_restrictions returns them, no joint eigenvalue within sign_tol of 0."""
+
+    datum: ClosureDatum
+    sides: tuple[tuple[Array, JointEigenstructure], ...]
+    tol: float
+
+    def index_detail(self) -> tuple[int, LocalIndexDetail]:
+        """The intersection route of local_index on this analysis."""
+        sides = []
+        for u, struct in self.sides:
+            # Exact: the negative eigenspaces are spanned by columns of one joint eigenbasis.
+            # tol stays 1e-8 because invariant_dim_in gates leaks at max(tol, w.tol).
+            negative = np.all(struct.eigentuples < 0.0, axis=1)
+            inter = Subspace(u.shape[0], u @ struct.basis[:, negative], 1e-8)
+            sides.append(GradedSide(
+                eigentuples=struct.eigentuples,
+                dim_intersection=inter.dim,
+                dim_invariant=invariant_dim_in(self.datum.holonomy, inter, self.tol),
+                intersection=inter,
+            ))
+        plus, minus = sides
+        ind = plus.dim_invariant - minus.dim_invariant
+        return ind, LocalIndexDetail(closure=self.datum.name, plus=plus, minus=minus, index=ind)
+
+
+def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL,
+                    sign_tol: float = DEFAULT_SIGN_TOL) -> ClosureAnalysis:
+    """Validate one closure and jointly diagonalise its graded L_j, once; raises like
+    validation and build_L, or DegenerateEigenvalueError for |eigenvalue| <= sign_tol."""
+    report = validate_closure(d, tol)
+    if not report.passed:
+        raise ClosureValidationError(
+            "closure data failed validation:\n" + report.summary())
+    l_check = next(c for c in report.checks if c.name == "commuting_operators")
+    _require_l_contract(l_check.max_violation, l_check.note, report.gram, tol)
     w, v = hermitian_eig(d.module.grading, tol)
     if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
         raise ClosureValidationError("grading eigenvalues are not +/-1")
-    out = []
+    sides = []
     for sign in (+1.0, -1.0):
         u = v[:, np.abs(w - sign) < 0.5]
-        restricted = [u.conj().T @ lj @ u for lj in l_ops]
-        out.append((u, joint_eig(restricted, tol)))
-    return tuple(out)
+        restricted = [u.conj().T @ lj @ u for lj in report.l_ops]
+        sides.append((u, joint_eig(restricted, tol)))
+    smallest = min(float(np.min(np.abs(struct.eigentuples))) for _, struct in sides)
+    if smallest <= sign_tol:
+        raise DegenerateEigenvalueError(
+            f"degenerate eigenvalue: |lambda| = {smallest:.3e} <= sign_tol = {sign_tol:.3e}")
+    return ClosureAnalysis(d, tuple(sides), tol)
 
 
 def local_index(d: ClosureDatum, tol: float = DEFAULT_TOL,
@@ -304,25 +338,7 @@ def local_index(d: ClosureDatum, tol: float = DEFAULT_TOL,
     dim of the holonomy-invariant part of the intersection of the negative
     eigenspaces of the L_j on E^+, minus the same on E^-.
     """
-    report = validate_closure(d, tol)
-    if not report.passed:
-        raise ClosureValidationError(
-            "closure data failed validation:\n" + report.summary())
-    sides = []
-    for u, struct in graded_restrictions(d, tol):
-        negatives = [negative_eigenspace(struct, j, sign_tol) for j in range(d.module.m)]
-        inter = subspace_intersection(negatives, tol=1e-8)
-        ambient = Subspace(d.module.dim, u @ inter.basis, inter.tol)
-        dim_inv = invariant_dim_in(d.holonomy, ambient, tol)
-        sides.append(GradedSide(
-            eigentuples=struct.eigentuples,
-            dim_intersection=inter.dim,
-            dim_invariant=dim_inv,
-            intersection=ambient,
-        ))
-    plus, minus = sides
-    ind = plus.dim_invariant - minus.dim_invariant
-    return ind, LocalIndexDetail(closure=d.name, plus=plus, minus=minus, index=ind)
+    return analyze_closure(d, tol, sign_tol).index_detail()
 
 
 def global_index(s: ScenarioModel, tol: float = DEFAULT_TOL,

@@ -22,6 +22,8 @@ from .model_operator import oscillator_levels
 
 Array = np.ndarray
 
+MIN_MODES = 64  # smallest Galerkin truncation n_modes that assembly accepts
+
 
 class CircleModelError(ValueError):
     """The circle model violates a structural requirement."""
@@ -164,8 +166,8 @@ def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_m
     model.validate()
     if s <= 0:
         raise CircleModelError("s must be positive")
-    if n_modes < 64:
-        raise CircleModelError("n_modes must be at least 64")
+    if n_modes < MIN_MODES:
+        raise CircleModelError(f"n_modes must be at least {MIN_MODES}")
     m = 2 * n_modes + 1
     modes = np.arange(-n_modes, n_modes + 1)
     d_op = sparse.kron(sparse.diags(1j * modes), sparse.csr_matrix(model.symbol))

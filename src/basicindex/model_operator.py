@@ -8,6 +8,10 @@ holonomy-invariant kernel dimension is computed on Gaussian-section pairs
 and must agree exactly with the intersection route of the index engine: the
 two constructions are the same number reached by different arguments, and a
 mismatch is a hard error.
+
+Both routes read one ClosureAnalysis, so they share exactly the validation,
+the L_j, the joint eigenbasis and the all-negative selection of eigentuples;
+only their holonomy steps differ.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .linalg import nullspace
 from .local_index import (
+    ClosureAnalysis,
     ClosureDatum,
     DEFAULT_SIGN_TOL,
     DEFAULT_TOL,
     ScenarioModel,
-    global_index,
-    graded_restrictions,
-    local_index,
+    analyze_closure,
 )
 
 Array = np.ndarray
@@ -125,26 +128,17 @@ class ModelSpectrum:
 def eigentuple_blocks(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[EigentupleBlock, ...]:
     """Distinct joint eigentuples of (L_1..L_m) per grading sign, with their
     eigenspaces mapped back to ambient module coordinates."""
-    blocks: list[EigentupleBlock] = []
-    for sign, (u, struct) in zip((+1, -1), graded_restrictions(d, tol)):
-        tuples = struct.eigentuples
-        order = sorted(range(tuples.shape[0]),
-                       key=lambda i: tuple(np.round(tuples[i], 9)))
-        groups: list[list[int]] = []
-        for i in order:
-            if groups and np.allclose(tuples[groups[-1][0]], tuples[i], atol=1e-7):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        for grp in groups:
-            vecs = u @ struct.basis[:, grp]
-            blocks.append(EigentupleBlock(
-                grading=sign,
-                eigentuple=tuple(float(x) for x in tuples[grp[0]]),
-                multiplicity=len(grp),
-                vectors=vecs,
-            ))
-    return tuple(blocks)
+    return _blocks(analyze_closure(d, tol))
+
+
+def _blocks(a: ClosureAnalysis) -> tuple[EigentupleBlock, ...]:
+    # one block per cluster of joint_eig, represented by its first column
+    return tuple(EigentupleBlock(grading=sign,
+                                 eigentuple=tuple(float(x) for x in struct.eigentuples[start]),
+                                 multiplicity=stop - start,
+                                 vectors=u @ struct.basis[:, start:stop])
+                 for sign, (u, struct) in zip((+1, -1), a.sides)
+                 for start, stop in struct.clusters)
 
 
 def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL,
@@ -157,16 +151,14 @@ def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL,
     dimensions come from invariant_kernel (only all-negative eigentuples
     carry normalizable Gaussian sections, filtered by holonomy invariance).
     """
-    blocks = eigentuple_blocks(d, tol)
-    smallest = float(min(abs(x) for b in blocks for x in b.eigentuple))
-    if smallest <= sign_tol:
-        raise ValueError(f"degenerate eigenvalue {smallest:.3e} within sign_tol")
+    a = analyze_closure(d, tol, sign_tol)
+    blocks = _blocks(a)
     merged: list[float] = []
     for b in blocks:
         merged.extend(lv for lv in compose_levels(np.array(b.eigentuple), count)
                       for _ in range(b.multiplicity))
     merged.sort()
-    kp, km = invariant_kernel(d, tol, sign_tol)
+    (kp, km), _ = _checked_kernel_dims(a, blocks)
     return ModelSpectrum(
         eigenvalues=np.array(merged[:count]),
         kernel_dim_plus=kp,
@@ -258,23 +250,26 @@ def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL,
     raises RouteConsistencyError because the two constructions are provably
     the same number.
     """
-    blocks = eigentuple_blocks(d, tol)
-    smallest = float(min(abs(x) for b in blocks for x in b.eigentuple))
-    if smallest <= sign_tol:
-        raise ValueError(f"degenerate eigenvalue {smallest:.3e} within sign_tol")
+    a = analyze_closure(d, tol, sign_tol)
+    return _checked_kernel_dims(a, _blocks(a))[0]
+
+
+def _checked_kernel_dims(a: ClosureAnalysis, blocks: tuple[EigentupleBlock, ...]
+                         ) -> tuple[tuple[int, int], int]:
+    """Kernel-route (plus, minus) dims, checked against the intersection route's local index."""
     negatives = {+1: [], -1: []}
     for b in blocks:
         if all(x < 0.0 for x in b.eigentuple):
             negatives[b.grading].append(b)
-    kp = _kernel_dim_for_sign(d, negatives[+1], tol)
-    km = _kernel_dim_for_sign(d, negatives[-1], tol)
-    _, detail = local_index(d, tol, sign_tol)
+    kp = _kernel_dim_for_sign(a.datum, negatives[+1], a.tol)
+    km = _kernel_dim_for_sign(a.datum, negatives[-1], a.tol)
+    ind, detail = a.index_detail()
     if (kp, km) != (detail.plus.dim_invariant, detail.minus.dim_invariant):
         raise RouteConsistencyError(
             f"kernel route gives ({kp}, {km}) but the intersection route gives "
             f"({detail.plus.dim_invariant}, {detail.minus.dim_invariant}) "
-            f"for closure {d.name!r}")
-    return kp, km
+            f"for closure {a.datum.name!r}")
+    return (kp, km), ind
 
 
 @dataclass(frozen=True)
@@ -310,15 +305,10 @@ def model_cross_check(s: ScenarioModel, tol: float = DEFAULT_TOL,
     """Verify sum over closures of graded kernel dimensions against the
     global index; agreement is required, disagreement is a hard error."""
     entries = []
-    total = 0
     for d in s.closures:
-        kp, km = invariant_kernel(d, tol, sign_tol)
-        ind, _ = local_index(d, tol, sign_tol)
+        a = analyze_closure(d, tol, sign_tol)
+        (kp, km), ind = _checked_kernel_dims(a, _blocks(a))
         entries.append(CrossCheckEntry(d.name, (kp, km), kp - km, ind))
-        total += kp - km
-    gidx = global_index(s, tol, sign_tol)
-    report = CrossCheckReport(tuple(entries), total, gidx)
-    if not report.consistent:
-        raise RouteConsistencyError("model kernel and index formula disagree:\n"
-                                    + report.summary())
-    return report
+    # each entry already passed _checked_kernel_dims, so the report is consistent
+    return CrossCheckReport(tuple(entries), sum(e.kernel_index for e in entries),
+                            sum(e.local_index for e in entries))

@@ -2,7 +2,8 @@
 
 Scenarios are JSON documents; complex entries are two-element arrays
 [re, im], matrices are row-major arrays of row arrays.  Schema errors name
-the offending key path.  Loading is side-effect free and materializes all
+the offending key path; NaN and +/-Infinity, which Python's json accepts,
+are schema errors.  Loading is side-effect free and materializes all
 derived matrices (hat_linear perturbations, derive-from-exterior holonomy
 actions) so the returned model is plain data.
 """
@@ -10,6 +11,7 @@ actions) so the returned model is plain data.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -53,11 +55,21 @@ def _want(obj: dict, key: str, kind, path: str):
     return val
 
 
+def _finite(val: int | float, path: str) -> float:
+    try:
+        x = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioFormatError(path, f"expected a finite number, got {val!r}")
+    return x
+
+
 def _complex_entry(val, path: str) -> complex:
     if isinstance(val, (int, float)):
-        return complex(val)
+        return complex(_finite(val, path))
     if isinstance(val, list) and len(val) == 2 and all(isinstance(x, (int, float)) for x in val):
-        return complex(val[0], val[1])
+        return complex(_finite(val[0], f"{path}[0]"), _finite(val[1], f"{path}[1]"))
     raise ScenarioFormatError(path, "expected a number or a two-element [re, im] array")
 
 
@@ -146,13 +158,14 @@ def _parse_perturbation(obj: dict, module: CliffordModule, path: str) -> tuple[A
             form = entry[2] if len(entry) == 3 else "hat"
             if not isinstance(scale, (int, float)):
                 raise ScenarioFormatError(f"{epath}[0]", "expected a real scale")
+            scale = _finite(scale, f"{epath}[0]")
             if not isinstance(axis, int) or not 1 <= axis <= ambient:
                 raise ScenarioFormatError(f"{epath}[1]", f"expected a letter in 1..{ambient}")
             unit = np.eye(ambient)[axis - 1]
             if form == "hat":
-                out.append(float(scale) * clifford_hat(unit, ambient))
+                out.append(scale * clifford_hat(unit, ambient))
             elif form == "ic":
-                out.append(float(scale) * 1j * clifford_c(unit, ambient))
+                out.append(scale * 1j * clifford_c(unit, ambient))
             else:
                 raise ScenarioFormatError(f"{epath}[2]",
                                           f"unknown constructor form {form!r} "

@@ -8,6 +8,7 @@ from basicindex import (
     HolonomyGroup,
     clifford_c,
     clifford_hat,
+    explicit_module,
     exterior_module,
 )
 from basicindex.holonomy import derive_infinitesimal_action
@@ -74,3 +75,22 @@ def random_orthogonal(rng, m):
 def random_hermitian(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (a + a.conj().T) / 2.0
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated_closure(m, rng):
+    """Exterior datum with Z_j = t_j chat(e_j), written in a random unitary basis."""
+    ext = exterior_module(m, "parity")
+    u = random_unitary(rng, ext.dim)
+
+    def conj(a):
+        return u @ a @ u.conj().T
+
+    t = rng.uniform(0.5, 2.0, size=m)
+    z = tuple(conj(t[j] * clifford_hat(np.eye(m)[j], m)) for j in range(m))
+    module = explicit_module([conj(c) for c in ext.c], conj(ext.grading))
+    return ClosureDatum(f"rotated_m{m}", module, z, HolonomyGroup.trivial_group(m))

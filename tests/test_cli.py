@@ -1,5 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import basicindex
+from basicindex import ClosureDatum, ScenarioModel
 from basicindex.cli import main
 from basicindex.scenario import load_corpus_scenario, scenario_to_dict
 
@@ -127,3 +135,58 @@ def test_tol_env_override(monkeypatch, capsys):
     assert main(["index", "sphere_suspension"]) == 0
     monkeypatch.setenv("BASICINDEX_TOL", "not-a-number")
     assert main(["index", "sphere_suspension"]) == 2
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_entry_is_input_error(tmp_path, capsys, token):
+    doc = corpus_doc("cp2_signature_a")
+    doc["closures"][0]["perturbation"]["Z"][0][1][2] = float(token.replace("Infinity", "inf"))
+    path = write_scenario(tmp_path, doc)
+    assert main(["validate", path]) == 2
+    assert "closures[0].perturbation.Z[0][1][2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,env_tol", [
+    (["localize", "carriere", "--s", "foo"], None),
+    (["localize", "carriere", "--s", "10,inf,1000"], None),
+    (["localize", "carriere", "--s", "10,0,1000"], None),
+    (["localize", "carriere", "--jmax", "0"], None),
+    (["localize", "carriere", "--modes", "10"], None),
+    (["spectrum", "carriere", "--closure", "t_quarter", "--count", "0"], None),
+    (["spectrum", "carriere", "--closure", "t_quarter", "--count", "-3"], None),
+    (["--tol", "nan", "validate", "carriere"], None),
+    (["--tol", "-1", "validate", "carriere"], None),
+    (["validate", "carriere"], "nan"),
+    (["validate", "carriere"], "0"),
+])
+def test_bad_numeric_arguments_exit_2(monkeypatch, capsys, argv, env_tol):
+    if env_tol is not None:
+        monkeypatch.setenv("BASICINDEX_TOL", env_tol)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_degenerate_eigenvalue_fails_alike_in_every_command(tmp_path, capsys):
+    model = load_corpus_scenario("sphere_suspension")
+    tiny = ScenarioModel(model.name, model.codimension, tuple(
+        ClosureDatum(d.name, d.module, tuple(5e-9 * z for z in d.z), d.holonomy)
+        for d in model.closures))
+    path = write_scenario(tmp_path, scenario_to_dict(tiny))
+    assert main(["validate", path]) == 0
+    for argv in (["index", path], ["model-check", path],
+                 ["spectrum", path, "--closure", "north_pole"]):
+        assert main(argv) == 1, argv
+        assert "check failed: degenerate eigenvalue" in capsys.readouterr().err, argv
+
+
+def test_cli_import_leaves_out_scipy_stats_and_special():
+    probe = ("import sys, basicindex.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+    src = str(Path(basicindex.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

@@ -12,15 +12,17 @@ from basicindex import (
     admissible_rank,
     build_L,
     contract_op,
+    corpus_names,
     exterior_module,
     explicit_module,
     global_index,
+    load_corpus_scenario,
     local_index,
     odd_invertible_perturbation,
     validate_closure,
     wedge_op,
 )
-from closure_builders import carriere_closure, cp2_closure, sphere_closure
+from closure_builders import carriere_closure, cp2_closure, rotated_closure, sphere_closure
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -29,6 +31,10 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 def failed_names(report):
     return {c.name for c in report.failures()}
+
+
+def check_named(report, name):
+    return next(c for c in report.checks if c.name == name)
 
 
 # --- validation ---
@@ -52,6 +58,7 @@ def test_malformed_equal_perturbations_fail_gram():
     report = validate_closure(bad)
     assert not report.passed
     assert "gram_positive_definite" in failed_names(report)
+    assert check_named(report, "gram_positive_definite").max_violation > 0
 
 
 def test_malformed_commuting_perturbation_fails_anticommutation():
@@ -68,6 +75,45 @@ def test_malformed_even_perturbation_fails_oddness():
     report = validate_closure(bad)
     assert not report.passed
     assert "perturbation_odd" in failed_names(report)
+
+
+def test_singular_combination_fails_off_closure_bound():
+    # Z_2 = Z_1 D with D = i c_1 c_2: even, Hermitian, D^2 = I, commutes with
+    # Z_1, traceless.  G = I is positive definite, yet Z_1 (sigma_1 + sigma_2 D)
+    # is singular on the diagonals of the unit circle.
+    d = sphere_closure("north")
+    flip = 1j * d.module.c[0] @ d.module.c[1]
+    assert np.allclose(flip, flip.conj().T) and np.allclose(flip @ d.z[0], d.z[0] @ flip)
+    bad = ClosureDatum(d.name, d.module, (d.z[0], d.z[0] @ flip), d.holonomy)
+    report = validate_closure(bad)
+    assert np.allclose(report.gram, np.eye(2))
+    sigma = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    assert np.linalg.svd(sigma[0] * bad.z[0] + sigma[1] * bad.z[1], compute_uv=False)[-1] < 1e-12
+    check = check_named(report, "nondegenerate_off_closure")
+    assert check.severity == "hard" and not check.passed
+    assert "nondegenerate_off_closure" in failed_names(report)
+
+
+def test_off_closure_bound_is_sound():
+    # the check certifies smin(sum sigma_j Z_j)^2 >= lambda_min(G) - m * gram_dev
+    # on the whole unit sphere; random unit sigma must never beat it
+    rng = np.random.default_rng(2024)
+    closures = [d for name in corpus_names() for d in load_corpus_scenario(name).closures]
+    closures.append(rotated_closure(6, rng))
+    for d in closures:
+        report = validate_closure(d)
+        assert check_named(report, "nondegenerate_off_closure").passed, d.name
+        m = d.module.m
+        bound = (np.linalg.eigvalsh(report.gram)[0]
+                 - m * check_named(report, "gram_scalar").max_violation)
+        assert bound > 0.0, d.name
+        sigmas = rng.standard_normal((256, m))
+        sigmas /= np.linalg.norm(sigmas, axis=1, keepdims=True)
+        for sigma in sigmas:
+            zs = sum(s * zj for s, zj in zip(sigma, d.z))
+            smin = np.linalg.svd(zs, compute_uv=False)[-1]
+            # relative slack for the rounding of the SVD itself
+            assert smin >= np.sqrt(bound) * (1.0 - 1e-12), (d.name, sigma)
 
 
 def test_validation_is_report_only():

@@ -1,3 +1,6 @@
+import collections
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from basicindex import (
     compose_oracle_levels,
     explicit_module,
     invariant_kernel,
+    load_corpus_scenario,
     local_index,
     model_cross_check,
     oscillator_1d_oracle,
@@ -143,6 +147,20 @@ def test_cross_check_scenarios():
     carriere = ScenarioModel("carriere", 2, (carriere_closure("quarter"),
                                              carriere_closure("three_quarters")))
     assert model_cross_check(carriere).kernel_total == 0
+
+
+def test_cross_check_analyses_each_closure_once(monkeypatch):
+    engine = importlib.import_module("basicindex.local_index")
+    calls = collections.Counter()
+    for name in ("validate_closure", "joint_eig"):
+        def counted(*args, _name=name, _fn=getattr(engine, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    scenario = load_corpus_scenario("sphere_suspension")
+    assert model_cross_check(scenario).consistent
+    n = len(scenario.closures)
+    assert calls == {"validate_closure": n, "joint_eig": 2 * n}
 
 
 def test_cross_check_empty_scenario():

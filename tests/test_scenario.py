@@ -116,6 +116,26 @@ def test_shape_error_names_key_path():
     assert "closures[0].module.c" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_are_schema_errors(tmp_path, token):
+    value = float(token.replace("Infinity", "inf"))
+    scale_doc = minimal_doc()
+    scale_doc["closures"][0]["perturbation"]["coefficients"][1][0] = value
+    entry_doc = scenario_to_dict(load_corpus_scenario("sphere_suspension"))
+    entry_doc["closures"][0]["perturbation"]["Z"][0][1][2] = value
+    pair_doc = scenario_to_dict(load_corpus_scenario("sphere_suspension"))
+    pair_doc["closures"][1]["perturbation"]["Z"][1][3][0] = [0.0, value]
+    for doc, path in ((scale_doc, "closures[0].perturbation.coefficients[1][0]"),
+                      (entry_doc, "closures[0].perturbation.Z[0][1][2]"),
+                      (pair_doc, "closures[1].perturbation.Z[1][3][0][1]")):
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        assert token in file.read_text()  # Python's json writes and reads these tokens
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(file)
+        assert err.value.path == "bad.json." + path
+
+
 def test_unknown_grading_kind_rejected():
     doc = minimal_doc()
     doc["closures"][0]["module"]["grading"] = "mystery"
