@@ -65,8 +65,12 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _positive_floats(text: str) -> list[float]:
-    return [_positive_float(x) for x in text.split(",")]
+def _s_sweep(text: str) -> list[float]:
+    values = [_positive_float(x) for x in text.split(",")]
+    if len(values) < 3 or any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(
+            f"expected at least 3 increasing comma-separated values, got {text!r}")
+    return values
 
 
 def _int_at_least(low: int):
@@ -299,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p = add("localize", cmd_localize, "spectral localization sweep of the circle model")
     p.add_argument("scenario")
-    p.add_argument("--s", type=_positive_floats, default="10,100,1000",
-                   help="comma-separated list of increasing positive s values")
+    p.add_argument("--s", type=_s_sweep, default="10,100,1000",
+                   help="comma-separated list of at least 3 increasing positive s values")
     p.add_argument("--modes", type=_int_at_least(MIN_MODES), default=128)
     p.add_argument("--jmax", type=_int_at_least(1), default=4)
     sub.add_parser("list-examples", help="enumerate bundled scenarios") \

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eig_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .linalg import hermitian_eig
 from .model_operator import oscillator_levels
@@ -23,6 +23,10 @@ from .model_operator import oscillator_levels
 Array = np.ndarray
 
 MIN_MODES = 64  # smallest Galerkin truncation n_modes that assembly accepts
+STABILITY_TOL = 1e-8  # grid-doubling gate, also the graded/full agreement bound
+SHIFT = 1e-2  # H_s is positive semidefinite, so H_s + SHIFT I is positive definite
+SHIFT_RTOL = 1e-8  # relative bracket width at which a raised shift stops bisecting
+START_SEED = 0  # seed of the fixed generic Lanczos start vector
 
 
 class CircleModelError(ValueError):
@@ -97,6 +101,21 @@ class FourierMatrixFunction:
             out += mat * np.exp(1j * k * t)
         return out
 
+    def on_grid(self, samples: int) -> Array:
+        """Values at t_j = 2 pi j / samples, shape (samples, dim, dim), by one inverse FFT.
+
+        Z(t_j) = sum_k M_k e^(2 pi i k j / samples) is samples * ifft of the
+        M_k placed at k mod samples; harmonics of samples / 2 or more would
+        alias and are rejected.
+        """
+        if 2 * self.max_harmonic >= samples:
+            raise CircleModelError(f"harmonic {self.max_harmonic} aliases on {samples} samples; "
+                                   f"sampling needs harmonics below {samples // 2}")
+        grid = np.zeros((self.dim, self.dim, samples), dtype=complex)
+        for k, mat in self.coeffs:
+            grid[:, :, k % samples] = mat
+        return np.moveaxis(np.fft.ifft(grid, norm="forward"), -1, 0)
+
     def derivative(self) -> "FourierMatrixFunction":
         return FourierMatrixFunction(
             self.dim, tuple((k, 1j * k * mat) for k, mat in self.coeffs if k != 0))
@@ -168,18 +187,30 @@ def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_m
         raise CircleModelError("s must be positive")
     if n_modes < MIN_MODES:
         raise CircleModelError(f"n_modes must be at least {MIN_MODES}")
-    m = 2 * n_modes + 1
+    m, f = 2 * n_modes + 1, model.fiber_dim
     modes = np.arange(-n_modes, n_modes + 1)
-    d_op = sparse.kron(sparse.diags(1j * modes), sparse.csr_matrix(model.symbol))
     zero_order: dict[int, Array] = {}
     for k, mat in model.drift.coeffs:
         zero_order[k] = zero_order.get(k, 0) + mat
     for k, mat in model.perturbation.coeffs:
         zero_order[k] = zero_order.get(k, 0) + s * mat
+    # fiber blocks of D: (j, j) holds i modes[j] C, and (j, j - k) holds the harmonic k term;
+    # only the nonzero entries of each fiber matrix are placed
+    rows, cols, vals = [], [], []
+
+    def put(j: Array, k: int, mat: Array, scale: Array | None = None) -> None:
+        a, b = np.nonzero(mat)
+        entries = mat[a, b] if scale is None else np.multiply.outer(scale, mat[a, b])
+        rows.append((f * j[:, None] + a).ravel())
+        cols.append((f * (j - k)[:, None] + b).ravel())
+        vals.append(np.broadcast_to(entries, (j.size, a.size)).ravel())
+
+    put(np.arange(m, dtype=np.int32), 0, model.symbol, scale=1j * modes)
     for k, mat in zero_order.items():
-        shift = sparse.eye(m, k=-k, format="csr")
-        d_op = d_op + sparse.kron(shift, sparse.csr_matrix(mat))
-    d_op = d_op.tocsr()
+        put(np.arange(max(k, 0), m + min(k, 0), dtype=np.int32), k, mat)
+    d_op = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(m * f, m * f))
+    d_op.eliminate_zeros()
     return (d_op @ d_op).tocsr() / s
 
 
@@ -188,20 +219,93 @@ def assemble_Hs(model: CircleModel, s: float, n_modes: int) -> Array:
     return _assemble_sparse(model, s, n_modes).toarray()
 
 
-def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
+def _shifted_factor(h: sparse.csr_matrix) -> tuple[float, Array]:
+    """A shift sigma below the spectrum of h and the banded Cholesky factor of h - sigma I.
+
+    h is positive semidefinite, so sigma = -SHIFT always works, and it suits
+    a spectrum whose bottom lies below SHIFT.  When h - SHIFT I is positive
+    definite too, the bottom sits higher (zero-free Z at large s), and about
+    -SHIFT the lowest levels would look nearly equal to Lanczos; sigma is
+    then bisected up towards the bottom, a trial shift being kept when its
+    factorization succeeds, until the bracket is SHIFT_RTOL of the least
+    diagonal entry (an upper bound of the bottom) wide.  A failed
+    factorization at -SHIFT raises DiscretizationError.
+    """
     n = h.shape[0]
-    coo = h.tocoo()
-    bandwidth = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-    ab = np.zeros((bandwidth + 1, n), dtype=complex)
+    rows = np.flatnonzero(np.diff(h.indptr))  # h is Hermitian: the leftmost column sets the band
+    bandwidth = int(np.max(rows - np.minimum.reduceat(h.indices, h.indptr[rows]), initial=0))
+    ab = np.zeros((bandwidth + 1, n), dtype=complex)  # lower band form: ab[i - j, j] = h[i, j]
     for i in range(bandwidth + 1):
         ab[i, : n - i] = h.diagonal(-i)
-    count = min(count, n)
-    return eig_banded(ab, lower=True, select="i", select_range=(0, count - 1),
-                      eigvals_only=True)
+
+    def factor(sigma: float, band: Array) -> Array:
+        band[0] -= sigma
+        return cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+
+    try:
+        low, chol = SHIFT, factor(SHIFT, ab.copy())
+    except LinAlgError:
+        try:
+            return -SHIFT, factor(-SHIFT, ab)
+        except LinAlgError as exc:
+            raise DiscretizationError(
+                f"banded Cholesky of H_s + {SHIFT:g} I failed: {exc}") from None
+    high = float(np.min(ab[0].real))
+    while high - low > SHIFT_RTOL * high:
+        mid = 0.5 * (low + high)
+        try:
+            low, chol = mid, factor(mid, ab.copy())
+        except LinAlgError:
+            high = mid
+    return low, chol
+
+
+def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
+    """Lowest count eigenvalues of the banded positive semidefinite h, ascending.
+
+    Shift-invert Lanczos about a shift below the spectrum (_shifted_factor):
+    h - sigma I is factored by banded Cholesky in O(n kd^2), and each
+    iteration is one banded solve in O(n kd).  The start vector is generic
+    but fixed, so results are deterministic; a structured start such as all
+    ones can miss members of multiple levels.  A failed factorization or
+    iteration raises DiscretizationError.
+    """
+    # imported here so that importing the CLI does not load scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = h.shape[0]
+    sigma, chol = _shifted_factor(h)
+    inverse = LinearOperator((n, n), dtype=complex, matvec=lambda x: cho_solve_banded(
+        (chol, True), x, check_finite=False))
+    start = np.random.default_rng(START_SEED).standard_normal(2 * n).view(complex)
+    count = min(count, n - 2)  # ARPACK needs count < n - 1
+    try:
+        w = eigsh(h, k=count, sigma=sigma, OPinv=inverse, v0=start,
+                  return_eigenvectors=False)
+    except ArpackError as exc:
+        raise DiscretizationError(f"shift-invert Lanczos failed on {n} rows: {exc}") from None
+    return np.sort(w.real)
+
+
+def _graded_eigs(model: CircleModel, h: sparse.csr_matrix, count: int) -> tuple[Array, Array]:
+    """Lowest eigenvalues of the assembled h on the +1 and -1 grading blocks."""
+    w, u = hermitian_eig(model.grading)
+    m = h.shape[0] // model.fiber_dim
+    transform = sparse.kron(sparse.eye(m), sparse.csr_matrix(u)).tocsr()
+    hb = (transform.conj().T @ h @ transform).tocsr()
+    fiber_sign = w > 0
+    mask_plus = np.tile(fiber_sign, m)
+    scale = max(1.0, float(np.max(np.abs(hb.data)))) if hb.nnz else 1.0
+    leak = hb[np.ix_(np.where(mask_plus)[0], np.where(~mask_plus)[0])]
+    if leak.nnz and float(np.max(np.abs(leak.data))) > 1e-10 * scale:
+        raise CircleModelError("H_s does not commute with the induced grading")
+    blocks = [hb[mask][:, mask] for mask in (mask_plus, ~mask_plus)]
+    del hb  # released before the block solves
+    return _banded_eigs(blocks[0], count), _banded_eigs(blocks[1], count)
 
 
 def low_spectrum(model: CircleModel, s: float, n_modes: int, count: int) -> Array:
-    """Lowest count eigenvalues of the truncated H_s, via the banded solver."""
+    """Lowest count eigenvalues of the truncated H_s, by shift-invert Lanczos."""
     return _banded_eigs(_assemble_sparse(model, s, n_modes), count)
 
 
@@ -210,24 +314,10 @@ def graded_low_spectrum(model: CircleModel, s: float, n_modes: int, count: int
     """Lowest eigenvalues of H_s restricted to the +1 and -1 grading blocks.
 
     H_s commutes with the induced grading on modes; the off-block leak is
-    checked (< 1e-10 relative) before the two blocks are solved separately.
+    checked (< 1e-10 relative) before the two blocks are solved separately
+    by shift-invert Lanczos.
     """
-    h = _assemble_sparse(model, s, n_modes)
-    w, u = hermitian_eig(model.grading)
-    m = 2 * n_modes + 1
-    transform = sparse.kron(sparse.eye(m), sparse.csr_matrix(u)).tocsr()
-    hb = (transform.conj().T @ h @ transform).tocsr()
-    fiber_sign = w > 0
-    mask_plus = np.tile(fiber_sign, m)
-    out = []
-    scale = max(1.0, float(np.max(np.abs(hb.data)))) if hb.nnz else 1.0
-    leak = hb[np.ix_(np.where(mask_plus)[0], np.where(~mask_plus)[0])]
-    if leak.nnz and float(np.max(np.abs(leak.data))) > 1e-10 * scale:
-        raise CircleModelError("H_s does not commute with the induced grading")
-    for mask in (mask_plus, ~mask_plus):
-        idx = np.where(mask)[0]
-        out.append(_banded_eigs(hb[np.ix_(idx, idx)].tocsr(), count))
-    return out[0], out[1]
+    return _graded_eigs(model, _assemble_sparse(model, s, n_modes), count)
 
 
 @dataclass(frozen=True)
@@ -261,33 +351,35 @@ def find_zeros(z: FourierMatrixFunction, samples: int = 8192, tol: float = 1e-9
     """Zeros of the matrix-valued function on [0, 2 pi), Newton-refined.
 
     A zero means the whole matrix vanishes; simple zeros (invertible
-    derivative) are assumed and verified by the caller.
+    derivative) are assumed and verified by the caller.  The samples that
+    seed Newton's method come from one inverse FFT (FourierMatrixFunction.on_grid),
+    so harmonics of samples / 2 or more raise CircleModelError.
     """
     if z.is_zero:
         raise CircleModelError("perturbation vanishes identically; no localization model")
     ts = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    norms = np.array([np.linalg.norm(z(t)) for t in ts])
+    norms = np.linalg.norm(z.on_grid(samples), axis=(1, 2))
     scale = float(np.max(norms))
     dz = z.derivative()
     zeros: list[float] = []
-    for i in range(samples):
-        prev, nxt = norms[i - 1], norms[(i + 1) % samples]
-        if norms[i] <= prev and norms[i] < nxt and norms[i] < 0.2 * scale:
-            t = float(ts[i])
-            for _ in range(60):  # Newton on d/dt ||Z||_F^2
-                zt, dzt = z(t), dz(t)
-                g1 = 2.0 * float(np.real(np.vdot(zt, dzt)))
-                g2 = 2.0 * float(np.real(np.vdot(dzt, dzt)))  # dominant term near a zero
-                if g2 <= 0:
-                    break
-                step = g1 / g2
-                t -= step
-                if abs(step) < 1e-15:
-                    break
-            t = t % (2.0 * np.pi)
-            if np.linalg.norm(z(t)) < tol * max(1.0, scale):
-                if all(min(abs(t - t0), 2 * np.pi - abs(t - t0)) > 1e-6 for t0 in zeros):
-                    zeros.append(t)
+    # cyclic local minima of the sampled norm below a fifth of its maximum
+    seeds = (norms <= np.roll(norms, 1)) & (norms < np.roll(norms, -1)) & (norms < 0.2 * scale)
+    for start in ts[seeds]:
+        t = float(start)
+        for _ in range(60):  # Newton on d/dt ||Z||_F^2
+            zt, dzt = z(t), dz(t)
+            g1 = 2.0 * float(np.real(np.vdot(zt, dzt)))
+            g2 = 2.0 * float(np.real(np.vdot(dzt, dzt)))  # dominant term near a zero
+            if g2 <= 0:
+                break
+            step = g1 / g2
+            t -= step
+            if abs(step) < 1e-15:
+                break
+        t = t % (2.0 * np.pi)
+        if np.linalg.norm(z(t)) < tol * max(1.0, scale):
+            if all(min(abs(t - t0), 2 * np.pi - abs(t - t0)) > 1e-6 for t0 in zeros):
+                zeros.append(t)
     return sorted(zeros)
 
 
@@ -378,8 +470,8 @@ class ConvergenceReport:
 
 
 def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int,
-                    stability_tol: float = 1e-8, max_doublings: int = 3
-                    ) -> tuple[Array, int]:
+                    stability_tol: float = STABILITY_TOL, max_doublings: int = 3
+                    ) -> tuple[Array, int, sparse.csr_matrix]:
     """Eigenvalues stable under grid doubling, escalating n_modes as needed.
 
     The doubling check is the self-convergence gate: values are reported only
@@ -387,26 +479,56 @@ def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int,
     Localized eigenfunctions at large s need mode counts ~ s^(1/2), so the
     base resolution may be insufficient for the tail of a sweep; escalation
     bounded by max_doublings keeps the gate honest and errors past the cap.
+    Returns the lowest max(count, 10) eigenvalues at the accepted mode count,
+    that mode count, and the operator assembled there.
     """
     n = n_modes
     probe = max(count, 10)
-    coarse = low_spectrum(model, s, n, probe)
+    coarse = _banded_eigs(_assemble_sparse(model, s, n), probe)
     for _ in range(max_doublings):
-        fine = low_spectrum(model, s, 2 * n, probe)
+        h = _assemble_sparse(model, s, 2 * n)
+        fine = _banded_eigs(h, probe)
         if float(np.max(np.abs(coarse - fine))) < stability_tol:
-            return fine[:count], 2 * n
+            return fine, 2 * n, h
         n, coarse = 2 * n, fine
+        del h  # released before the next, larger assembly
     raise DiscretizationError(
         f"eigenvalues not stable under grid doubling at s = {s:g} up to "
         f"{2 * n} modes; rerun with a larger --modes value")
 
 
-def _graded_kernel_counts(model: CircleModel, s: float, n_modes: int,
+def _graded_kernel_counts(model: CircleModel, h: sparse.csr_matrix, full: Array,
                           threshold: float) -> tuple[int, int]:
-    """Count eigenvalues below threshold per grading block of the mode space."""
+    """Count eigenvalues of h below threshold per grading block of the mode space.
+
+    full holds the lowest eigenvalues of h.  The merged block spectra must
+    reproduce them to STABILITY_TOL: an eigenvalue that Lanczos missed in a
+    block would otherwise change the spectral index silently.
+    """
     probe = max(16, model.fiber_dim)
-    plus, minus = graded_low_spectrum(model, s, n_modes, probe)
+    plus, minus = _graded_eigs(model, h, probe)
+    shared = min(full.size, probe)  # each block holds its probe lowest, so these are exact
+    merged = np.sort(np.concatenate([plus, minus]))[:shared]
+    mismatch = float(np.max(np.abs(merged - full[:shared])))
+    if mismatch > STABILITY_TOL:
+        raise DiscretizationError(
+            f"graded and full low spectra differ by {mismatch:.3e} on {h.shape[0]} rows; "
+            "an eigenvalue was missed")
     return int(np.sum(plus < threshold)), int(np.sum(minus < threshold))
+
+
+def _model_row(model: CircleModel, s: float, n_modes: int, mu: Array,
+               threshold: float) -> SweepRow:
+    """Sweep row at s for Z with zeros: gap to the model levels mu and spectral index.
+
+    Both come from the one operator that grid doubling accepted, which is
+    released on return.
+    """
+    low, used, h = _converged_eigs(model, s, n_modes, mu.size)
+    eigs = low[: mu.size]
+    kp, km = _graded_kernel_counts(model, h, low, threshold)
+    return SweepRow(s=s, n_modes=used, eigenvalues=eigs, gap=float(np.max(np.abs(eigs - mu))),
+                    spectral_index=kp - km)
 
 
 def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
@@ -431,12 +553,7 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
     if not zero_free:
         mu = at_zeros.levels[:j_max]
         threshold = 0.5 * at_zeros.smallest_positive
-        for s in s_list:
-            eigs, used = _converged_eigs(model, s, n_modes, j_max)
-            gap = float(np.max(np.abs(eigs[:j_max] - mu)))
-            kp, km = _graded_kernel_counts(model, s, used, threshold)
-            rows.append(SweepRow(s=s, n_modes=used, eigenvalues=eigs, gap=gap,
-                                 spectral_index=kp - km))
+        rows = [_model_row(model, s, n_modes, mu, threshold) for s in s_list]
         gaps = [r.gap for r in rows]
         monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 3, len(gaps) - 1))
         fit_point = s_list[1]
@@ -446,8 +563,8 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
         return ConvergenceReport(tuple(rows), at_zeros.levels[:j_max], fitted, fit_point,
                                  monotone, bound_ok, None, None)
     for s in s_list:
-        eigs, used = _converged_eigs(model, s, n_modes, j_max)
-        rows.append(SweepRow(s=s, n_modes=used, eigenvalues=eigs, gap=None,
+        low, used = _converged_eigs(model, s, n_modes, j_max)[:2]
+        rows.append(SweepRow(s=s, n_modes=used, eigenvalues=low[:j_max], gap=None,
                              spectral_index=None))
     growth = min(float(r.eigenvalues[0]) / r.s for r in rows)
     return ConvergenceReport(tuple(rows), None, None, None, None, None,

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import basicindex
-from basicindex import ClosureDatum, ScenarioModel
+from basicindex import ClosureDatum, ScenarioModel, localization
 from basicindex.cli import main
 from basicindex.scenario import load_corpus_scenario, scenario_to_dict
 
@@ -158,6 +160,8 @@ def test_non_finite_entry_is_input_error(tmp_path, capsys, token):
     (["--tol", "-1", "validate", "carriere"], None),
     (["validate", "carriere"], "nan"),
     (["validate", "carriere"], "0"),
+    (["localize", "carriere", "--s", "100,10,1000"], None),
+    (["localize", "carriere", "--s", "10,100"], None),
 ])
 def test_bad_numeric_arguments_exit_2(monkeypatch, capsys, argv, env_tol):
     if env_tol is not None:
@@ -183,9 +187,38 @@ def test_degenerate_eigenvalue_fails_alike_in_every_command(tmp_path, capsys):
         assert "check failed: degenerate eigenvalue" in capsys.readouterr().err, argv
 
 
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _drop_lowest_plus_level(graded):
+    def patched(model, h, count):
+        plus, minus = graded(model, h, count)
+        return plus[1:], minus
+    return patched
+
+
+@pytest.mark.parametrize("fault", ["cholesky", "lanczos", "missed eigenvalue"])
+def test_solver_failure_is_a_check_failure(monkeypatch, capsys, fault):
+    if fault == "cholesky":
+        monkeypatch.setattr(localization, "cholesky_banded",
+                            _raise(np.linalg.LinAlgError("not positive definite")))
+    elif fault == "lanczos":
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _raise(
+            scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), None)))
+    else:
+        monkeypatch.setattr(localization, "_graded_eigs",
+                            _drop_lowest_plus_level(localization._graded_eigs))
+    assert main(["localize", "carriere"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and "Traceback" not in err
+
+
 def test_cli_import_leaves_out_scipy_stats_and_special():
-    probe = ("import sys, basicindex.cli; "
-             "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+    probe = ("import sys, basicindex.cli; print([m for m in "
+             "('scipy.stats', 'scipy.special', 'scipy.sparse.linalg') if m in sys.modules])")
     src = str(Path(basicindex.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from basicindex import (
     cosine_preset,
     model_spectrum_at_zeros,
 )
-from basicindex.localization import _converged_eigs, graded_low_spectrum, low_spectrum
+from basicindex.localization import (
+    _assemble_sparse,
+    _converged_eigs,
+    find_zeros,
+    graded_low_spectrum,
+    low_spectrum,
+)
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -41,6 +49,21 @@ def test_fourier_derivative():
     df = f.derivative()
     for t in (0.1, 2.0):
         assert np.allclose(df(t), -np.sin(t) * SX, atol=1e-12)
+
+
+def test_grid_values_match_pointwise_evaluation():
+    for z in (carriere_preset().perturbation, windowed_linear_model().perturbation):
+        ts = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        pointwise = np.array([z(t) for t in ts])
+        scale = np.max(np.abs(pointwise))
+        assert np.max(np.abs(z.on_grid(512) - pointwise)) < 1e-13 * scale
+
+
+def test_aliased_harmonic_is_rejected():
+    z = FourierMatrixFunction.real_terms(2, cos_terms={1: SX, 4096: SX})
+    with pytest.raises(CircleModelError, match="aliases"):
+        find_zeros(z)  # 8192 samples
+    assert z.on_grid(8194).shape == (8194, 2, 2)
 
 
 def test_model_validation_rejects_skew_drift():
@@ -164,12 +187,17 @@ def test_flat_exactness_of_windowed_linear_zeros():
     model = windowed_linear_model()
     mz = model_spectrum_at_zeros(model, count=4)
     assert np.allclose(mz.levels, [0.0, 0.0, 2.0, 2.0])
-    eigs, _ = _converged_eigs(model, 100.0, 128, 4)
+    eigs, _, _ = _converged_eigs(model, 100.0, 128, 4)
     windowed_gap = float(np.max(np.abs(eigs[:4] - mz.levels)))
-    cosine_eigs, _ = _converged_eigs(cosine_preset(), 100.0, 128, 4)
+    cosine_eigs, _, _ = _converged_eigs(cosine_preset(), 100.0, 128, 4)
     cosine_gap = float(np.max(np.abs(cosine_eigs[:4] - mz.levels)))
     assert windowed_gap < 1e-6
     assert windowed_gap < 1e-2 * cosine_gap
+
+
+def test_windowed_zeros_are_found():
+    zeros = find_zeros(windowed_linear_model().perturbation)
+    assert np.allclose(zeros, [np.pi / 2, 3 * np.pi / 2], rtol=0.0, atol=1e-9)
 
 
 def test_carriere_preset_structure():
@@ -197,3 +225,44 @@ def test_carriere_model_independent_of_drift():
 def test_carriere_spectral_index_zero_for_all_stretches(stretch):
     rep = convergence_report(carriere_preset(stretch), [10.0, 60.0, 360.0], 4, 128)
     assert all(r.spectral_index == 0 for r in rep.rows)
+
+
+REFERENCE_MODELS = {"flat": flat_model, "carriere": carriere_preset, "cosine": cosine_preset,
+                    "windowed": windowed_linear_model}
+REFERENCE_CASES = [(name, s, n_modes) for name in sorted(REFERENCE_MODELS)
+                   for s in (10.0, 1000.0, 10000.0) for n_modes in (256, 512)]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_block_spectrum(name, s, n_modes, sign):
+    """np.linalg.eigvalsh of H_s on one grading block.  Every reference model has
+    grading diag(1, -1) and H_s commutes with it, so H_s is block diagonal on the
+    fiber rows and the two blocks carry its whole spectrum at a quarter of the
+    dense cost each."""
+    model = REFERENCE_MODELS[name]()
+    h = _assemble_sparse(model, s, n_modes)  # what assemble_Hs densifies
+    rows = np.tile(sign * np.diag(model.grading).real > 0, 2 * n_modes + 1)
+    assert h[rows][:, ~rows].count_nonzero() == 0
+    return np.linalg.eigvalsh(h[rows][:, rows].toarray())
+
+
+@functools.lru_cache(maxsize=1)  # shared by the two sign cases of one (model, s, modes)
+def graded_spectra(name, s, n_modes):
+    return graded_low_spectrum(REFERENCE_MODELS[name](), s, n_modes, 16)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name,s,n_modes", REFERENCE_CASES)
+def test_graded_low_spectrum_matches_dense_eigvalsh(name, s, n_modes, sign):
+    got = graded_spectra(name, s, n_modes)[0 if sign == 1 else 1]
+    assert np.max(np.abs(got - dense_block_spectrum(name, s, n_modes, sign)[:16])) < 1e-9
+
+
+@pytest.mark.parametrize("name,s,n_modes", REFERENCE_CASES)
+def test_low_spectrum_matches_dense_eigvalsh(name, s, n_modes):
+    # a fixed all-ones Lanczos start vector fails the flat cases, whose levels
+    # have multiplicities 2 and 4
+    dense = np.sort(np.concatenate([dense_block_spectrum(name, s, n_modes, sign)
+                                    for sign in (1, -1)]))
+    got = low_spectrum(REFERENCE_MODELS[name](), s, n_modes, 16)
+    assert np.max(np.abs(got - dense[:16])) < 1e-9
