@@ -36,6 +36,7 @@ from .holonomy import NotInvariantError
 from .model_operator import (
     RouteConsistencyError,
     analytic_spectrum,
+    compose_levels,
     compose_oracle_levels,
     model_cross_check,
 )
@@ -189,8 +190,6 @@ def cmd_spectrum(args) -> int:
               f"kernel dims {spec.kernel_dim_plus}, {spec.kernel_dim_minus})")
         print("  levels: " + ", ".join(fmt(x) for x in spec.eigenvalues))
     if args.numerical:
-        from .model_operator import compose_levels
-
         worst = 0.0
         rows = []
         for blk in spec.blocks:
@@ -261,8 +260,9 @@ def cmd_list_examples(args) -> int:
 
 
 def cmd_run_corpus(args) -> int:
+    names = corpus_names()
     failures = 0
-    for name in corpus_names():
+    for name in names:
         model = load_corpus_scenario(name)
         total = global_index(model, args.tol)
         status = "ok"
@@ -270,7 +270,7 @@ def cmd_run_corpus(args) -> int:
             status = f"MISMATCH (expected {model.expected_index})"
             failures += 1
         print(f"{name}: index {total} {status}")
-    print(f"{len(corpus_names()) - failures}/{len(corpus_names())} scenarios pass")
+    print(f"{len(names) - failures}/{len(names)} scenarios pass")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 

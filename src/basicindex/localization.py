@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .linalg import hermitian_eig
 from .model_operator import oscillator_levels
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 Array = np.ndarray
 
@@ -182,6 +184,8 @@ class CircleModel:
 
 def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_matrix:
     """Galerkin matrix of (1/s) (C d/dt + B + s Z)^2 on modes -n_modes..n_modes."""
+    from scipy import sparse  # scipy loads only in the commands that solve with it
+
     model.validate()
     if s <= 0:
         raise CircleModelError("s must be positive")
@@ -231,6 +235,8 @@ def _shifted_factor(h: sparse.csr_matrix) -> tuple[float, Array]:
     diagonal entry (an upper bound of the bottom) wide.  A failed
     factorization at -SHIFT raises DiscretizationError.
     """
+    from scipy.linalg import LinAlgError, cholesky_banded
+
     n = h.shape[0]
     rows = np.flatnonzero(np.diff(h.indptr))  # h is Hermitian: the leftmost column sets the band
     bandwidth = int(np.max(rows - np.minimum.reduceat(h.indices, h.indptr[rows]), initial=0))
@@ -270,7 +276,7 @@ def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
     ones can miss members of multiple levels.  A failed factorization or
     iteration raises DiscretizationError.
     """
-    # imported here so that importing the CLI does not load scipy.sparse.linalg
+    from scipy.linalg import cho_solve_banded
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     n = h.shape[0]
@@ -289,6 +295,8 @@ def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
 
 def _graded_eigs(model: CircleModel, h: sparse.csr_matrix, count: int) -> tuple[Array, Array]:
     """Lowest eigenvalues of the assembled h on the +1 and -1 grading blocks."""
+    from scipy import sparse
+
     w, u = hermitian_eig(model.grading)
     m = h.shape[0] // model.fiber_dim
     transform = sparse.kron(sparse.eye(m), sparse.csr_matrix(u)).tocsr()

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .linalg import nullspace
 from .local_index import (
@@ -55,6 +54,8 @@ def oscillator_1d_oracle(lam: float, count: int, n_grid: int = 2000,
     step (the bare stencil at n_grid = 2000 only reaches ~1e-4).
     R defaults to the decay rule exp(-|lam| R^2 / 2) < 1e-12.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # scipy loads only where the oracle runs
+
     if lam == 0.0:
         raise ValueError("lam must be nonzero (the model is vacuous at 0)")
     if n_grid < 500:

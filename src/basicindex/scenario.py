@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,34 @@ def _complex_entry(val, path: str) -> complex:
     raise ScenarioFormatError(path, "expected a number or a two-element [re, im] array")
 
 
+_NUMBER_TYPES = {int, float, bool}  # the number types json.loads returns
+
+
+def _bulk_complex_matrix(rows: list) -> Array | None:
+    """The matrix of the equal-length rows in one pass, or None to parse entry by entry.
+
+    One type scan admits only numbers and two-number [re, im] pairs; numpy
+    then builds the real and imaginary parts in one call, and finiteness is
+    checked at once.  The result is bitwise the per-entry result.  Every
+    entry that _complex_entry would reject (an unknown type, a bad pair, a
+    non-finite value, an integer beyond the float range) makes this return
+    None, so schema errors keep their exact message and key path.
+    """
+    entries = [x for row in rows for x in row]
+    kinds = set(map(type, entries))
+    pairs = [x for x in entries if type(x) is list]
+    if (not kinds or not kinds <= _NUMBER_TYPES | {list} or not set(map(len, pairs)) <= {2}
+            or not set(map(type, chain.from_iterable(pairs))) <= _NUMBER_TYPES):
+        return None
+    try:
+        parts = np.array([[x if type(x) is list else (x, 0) for x in row] for row in rows],
+                         dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    mat = parts.view(complex)[..., 0]
+    return mat if np.isfinite(mat).all() else None
+
+
 def _complex_matrix(val, path: str, shape: tuple[int, int] | None = None) -> Array:
     if not isinstance(val, list) or not val or not all(isinstance(r, list) for r in val):
         raise ScenarioFormatError(path, "expected an array of row arrays")
@@ -80,8 +109,10 @@ def _complex_matrix(val, path: str, shape: tuple[int, int] | None = None) -> Arr
     for i, row in enumerate(val):
         if len(row) != ncols:
             raise ScenarioFormatError(f"{path}[{i}]", f"expected {ncols} columns, got {len(row)}")
-    mat = np.array([[_complex_entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
-                    for i, row in enumerate(val)])
+    mat = _bulk_complex_matrix(val)
+    if mat is None:
+        mat = np.array([[_complex_entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
+                        for i, row in enumerate(val)])
     if shape is not None and mat.shape != shape:
         raise ScenarioFormatError(path, f"expected shape {shape}, got {mat.shape}")
     return mat
@@ -291,12 +322,17 @@ def load_scenario(path: str | Path) -> ScenarioModel:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioFormatError(str(path), f"cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(str(path), f"cannot decode file as text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(
             str(path), f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ScenarioFormatError(str(path), "parse error: arrays or objects nested "
+                                             "too deeply") from None
     return scenario_from_dict(doc, origin=path.name)
 
 

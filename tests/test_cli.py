@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import basicindex
@@ -60,6 +61,16 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["index", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"[" * 100000, b"\xff\xfe" + b'{"name": "x"}'],
+                         ids=["deeply-nested", "undecodable"])
+def test_unparsable_file_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["index", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: ") and "Traceback" not in err
 
 
 def test_validate_corpus(capsys):
@@ -203,7 +214,7 @@ def _drop_lowest_plus_level(graded):
 @pytest.mark.parametrize("fault", ["cholesky", "lanczos", "missed eigenvalue"])
 def test_solver_failure_is_a_check_failure(monkeypatch, capsys, fault):
     if fault == "cholesky":
-        monkeypatch.setattr(localization, "cholesky_banded",
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded",
                             _raise(np.linalg.LinAlgError("not positive definite")))
     elif fault == "lanczos":
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _raise(
@@ -218,7 +229,8 @@ def test_solver_failure_is_a_check_failure(monkeypatch, capsys, fault):
 
 def test_cli_import_leaves_out_scipy_stats_and_special():
     probe = ("import sys, basicindex.cli; print([m for m in "
-             "('scipy.stats', 'scipy.special', 'scipy.sparse.linalg') if m in sys.modules])")
+             "('scipy.stats', 'scipy.special', 'scipy.sparse.linalg', 'scipy.linalg', "
+             "'scipy.sparse') if m in sys.modules])")
     src = str(Path(basicindex.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)

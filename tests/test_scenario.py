@@ -5,12 +5,15 @@ import pytest
 
 from basicindex import (
     ScenarioFormatError,
+    ScenarioModel,
     corpus_names,
     load_corpus_scenario,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+from basicindex.scenario import _bulk_complex_matrix, _complex_entry
+from closure_builders import rotated_closure
 
 
 def minimal_doc():
@@ -134,6 +137,63 @@ def test_non_finite_numbers_are_schema_errors(tmp_path, token):
         with pytest.raises(ScenarioFormatError) as err:
             load_scenario(file)
         assert err.value.path == "bad.json." + path
+
+
+def per_entry_matrix(rows, path):
+    """The per-entry parse, the reference for the bulk one."""
+    return np.array([[_complex_entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
+                     for i, row in enumerate(rows)])
+
+
+def rotated_doc(m=3, seed=5):
+    d = rotated_closure(m, np.random.default_rng(seed))
+    return scenario_to_dict(ScenarioModel(name="rotated", codimension=m, closures=(d,)))
+
+
+def doc_matrices(doc):
+    """(key path, rows) of every module and perturbation matrix of a scenario_to_dict doc."""
+    for i, cobj in enumerate(doc["closures"]):
+        path = f"closures[{i}]"
+        yield from ((f"{path}.module.c[{j}]", c) for j, c in enumerate(cobj["module"]["c"]))
+        yield f"{path}.module.grading", cobj["module"]["grading"]
+        yield from ((f"{path}.perturbation.Z[{j}]", z)
+                    for j, z in enumerate(cobj["perturbation"]["Z"]))
+
+
+@pytest.mark.parametrize("where", ["pairs", "numbers"])
+@pytest.mark.parametrize("token", [
+    '"1.5"', "null", "[[1.0, 0.0], [0.0, 1.0]]", "[1.0]", "[1.0, 0.0, 2.0]", '[1.0, "0.0"]',
+    "NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400")])
+def test_bulk_parse_rejects_as_per_entry_parse(token, where):
+    # rotated Z mix numbers and [re, im] pairs; the sphere's Z hold numbers only
+    doc = rotated_doc() if where == "pairs" else \
+        scenario_to_dict(load_corpus_scenario("sphere_suspension"))
+    rows = doc["closures"][0]["perturbation"]["Z"][1]
+    assert any(isinstance(x, list) for row in rows for x in row) == (where == "pairs")
+    rows[2][1] = json.loads(token)
+    path = "scenario.closures[0].perturbation.Z[1]"
+    with pytest.raises(ScenarioFormatError) as ref:
+        per_entry_matrix(rows, path)
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == str(ref.value) and err.value.path == ref.value.path
+    assert _bulk_complex_matrix(rows) is None
+
+
+def test_bulk_parse_matches_per_entry_parse_bitwise():
+    docs = [rotated_doc(m, seed) for m, seed in ((3, 1), (4, 2))]
+    odd = docs[0]["closures"][0]["perturbation"]["Z"][0]
+    odd[0][0], odd[0][1], odd[1][0] = True, 2**53 + 1, [False, -(2**63) - 3]
+    odd[1][1], odd[1][2] = 2**70 + 12345, [2**60 + 1, -0.0]
+    docs += [scenario_to_dict(load_corpus_scenario(name)) for name in corpus_names()]
+    matrices = [("numbers", [[True, 2**54 + 1, -0.0], [3, -(2**63) - 3, False]])]
+    for doc in docs:
+        matrices += doc_matrices(doc)
+    for path, rows in matrices:
+        bulk, ref = _bulk_complex_matrix(rows), per_entry_matrix(rows, path)
+        assert bulk is not None, path
+        assert bulk.dtype == ref.dtype and bulk.shape == ref.shape, path
+        assert bulk.tobytes() == ref.tobytes(), path
 
 
 def test_unknown_grading_kind_rejected():
