@@ -37,7 +37,6 @@ from .linalg import (
     Subspace,
     hermitian_eig,
     joint_eig,
-    negative_eigenspace,
     nullspace,
     subspace_intersection,
 )
@@ -47,7 +46,6 @@ from .local_index import (
     LocalIndexDetail,
     ScenarioModel,
     admissible_rank,
-    build_L,
     global_index,
     local_index,
     odd_invertible_perturbation,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import DegenerateEigenvalueError, LinalgError
 from .local_index import (
+    DEFAULT_TOL,
     ClosureValidationError,
     ScenarioModel,
     global_index,
@@ -89,7 +90,7 @@ def _int_at_least(low: int):
 def default_tol() -> float:
     raw = os.environ.get("BASICINDEX_TOL")
     if raw is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
         return _positive_float(raw)
     except argparse.ArgumentTypeError as exc:

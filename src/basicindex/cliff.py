@@ -104,7 +104,7 @@ def chirality(q: int, module: "CliffordModule") -> Array:
     return gamma
 
 
-def exterior_rep(g: Array, tol: float = 1e-9) -> Array:
+def exterior_rep(g: Array) -> Array:
     """Functorial unitary action of an orthogonal matrix g on Lambda*(R^m).
 
     For orthogonal g the induced map on covectors is g itself; the action
@@ -115,7 +115,7 @@ def exterior_rep(g: Array, tol: float = 1e-9) -> Array:
     m = g.shape[0]
     if g.shape != (m, m):
         raise ValueError("g must be square")
-    if np.linalg.norm(g.T @ g - np.eye(m)) > tol:
+    if np.linalg.norm(g.T @ g - np.eye(m)) > 1e-9:
         raise ValueError("g is not orthogonal within tolerance")
     dim = 1 << m
     wedges = [sum(g[i, j] * wedge_op(i + 1, m) for i in range(m)) for j in range(m)]
@@ -129,7 +129,7 @@ def exterior_rep(g: Array, tol: float = 1e-9) -> Array:
     return rep
 
 
-def derived_exterior_action(x: Array, tol: float = 1e-9) -> Array:
+def derived_exterior_action(x: Array) -> Array:
     """Leibniz extension of a skew matrix x to Lambda*(R^m).
 
     Equals d/dt|_0 exterior_rep(exp(t x)); realized as
@@ -139,7 +139,7 @@ def derived_exterior_action(x: Array, tol: float = 1e-9) -> Array:
     m = x.shape[0]
     if x.shape != (m, m):
         raise ValueError("x must be square")
-    if np.linalg.norm(x + x.T) > tol:
+    if np.linalg.norm(x + x.T) > 1e-9:
         raise ValueError("x is not skew-symmetric within tolerance")
     dim = 1 << m
     out = np.zeros((dim, dim), dtype=complex)

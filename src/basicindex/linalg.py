@@ -15,13 +15,15 @@ import numpy as np
 
 Array = np.ndarray
 
+INTERSECTION_TOL = 1e-8  # subspace_intersection's cutoff, and the tolerance its result carries
+
 
 class LinalgError(ValueError):
     """Input violates an operation's contract (non-Hermitian, non-commuting...)."""
 
 
 class DegenerateEigenvalueError(LinalgError):
-    """An eigenvalue sits within sign_tol of zero where a sign is required."""
+    """An eigenvalue sits too close to zero where a sign is required."""
 
 
 def _norm(a: Array) -> float:
@@ -81,17 +83,16 @@ class Subspace:
         return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
 
     @staticmethod
-    def from_span(vectors: Array, tol: float = 1e-9) -> "Subspace":
-        """Orthonormalize spanning columns, dropping directions below tol."""
+    def from_span(vectors: Array) -> "Subspace":
+        """Orthonormalize spanning columns, dropping directions below 1e-9 relative."""
         vectors = np.asarray(vectors, dtype=complex)
         if vectors.ndim != 2:
             raise LinalgError("expected a 2-d array of column vectors")
         if vectors.shape[1] == 0:
-            return Subspace(vectors.shape[0], vectors, tol)
+            return Subspace(vectors.shape[0], vectors, 1e-9)
         u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-        cutoff = tol * max(1.0, float(s[0]) if s.size else 1.0)
-        rank = int(np.sum(s > cutoff))
-        return Subspace(vectors.shape[0], _fix_phases(u[:, :rank]), tol)
+        rank = int(np.sum(s > 1e-9 * max(1.0, float(s[0]) if s.size else 1.0)))
+        return Subspace(vectors.shape[0], _fix_phases(u[:, :rank]), 1e-9)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,6 @@ class JointEigenstructure:
 
     basis: Array  # (dim, dim) unitary
     eigentuples: Array  # (dim, n_ops) real
-    tol: float
     clusters: tuple[tuple[int, int], ...]  # (start, stop) ranges of equal eigentuples
 
     @property
@@ -180,32 +180,14 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
         if resid > 1e-9 * scales[j] * max(1.0, dim):
             raise LinalgError(f"joint diagonalization failed to reconstruct operator {j} "
                               f"(residual {resid:.3e})")
-    return JointEigenstructure(basis=basis, eigentuples=tuples, tol=tol,
-                               clusters=tuple(clusters))
+    return JointEigenstructure(basis=basis, eigentuples=tuples, clusters=tuple(clusters))
 
 
-def negative_eigenspace(struct: JointEigenstructure, j: int, sign_tol: float = 1e-8) -> Subspace:
-    """Span of joint eigenvectors whose j-th eigenvalue is negative.
-
-    Raises DegenerateEigenvalueError when any eigenvalue of the structure
-    lies within sign_tol of zero: sign classification would then be
-    meaningless (the nondegeneracy assumption is violated).
-    """
-    if not 0 <= j < struct.n_ops:
-        raise LinalgError(f"operator index {j} out of range 0..{struct.n_ops - 1}")
-    smallest = float(np.min(np.abs(struct.eigentuples)))
-    if smallest <= sign_tol:
-        raise DegenerateEigenvalueError(
-            f"degenerate eigenvalue: |lambda| = {smallest:.3e} <= sign_tol = {sign_tol:.3e}")
-    mask = struct.eigentuples[:, j] < 0.0
-    return Subspace(struct.dim, struct.basis[:, mask], struct.tol)
-
-
-def subspace_intersection(subs: list[Subspace], tol: float = 1e-8) -> Subspace:
+def subspace_intersection(subs: list[Subspace]) -> Subspace:
     """Intersection of subspaces of a common ambient space.
 
-    Computed as the span of eigenvectors with eigenvalue < tol of
-    sum_i (I - P_i); exact for well-separated principal angles.
+    Computed as the span of eigenvectors with eigenvalue < INTERSECTION_TOL
+    of sum_i (I - P_i); exact for well-separated principal angles.
     """
     if not subs:
         raise LinalgError("at least one subspace is required")
@@ -214,9 +196,8 @@ def subspace_intersection(subs: list[Subspace], tol: float = 1e-8) -> Subspace:
         if s.ambient_dim != ambient:
             raise LinalgError("subspaces live in different ambient dimensions")
     defect = sum(np.eye(ambient, dtype=complex) - s.projector() for s in subs)
-    w, v = hermitian_eig(defect, max(tol, 1e-9))
-    keep = w < tol
-    return Subspace(ambient, v[:, keep], tol)
+    w, v = hermitian_eig(defect, INTERSECTION_TOL)
+    return Subspace(ambient, v[:, w < INTERSECTION_TOL], INTERSECTION_TOL)
 
 
 def nullspace(mat: Array, tol: float = 1e-9) -> Subspace:

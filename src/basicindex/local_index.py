@@ -18,6 +18,7 @@ import numpy as np
 from .cliff import CliffordModule
 from .holonomy import HolonomyGroup, NotInvariantError, check_equivariance, invariant_dim_in
 from .linalg import (
+    INTERSECTION_TOL,
     DegenerateEigenvalueError,
     JointEigenstructure,
     LinalgError,
@@ -29,7 +30,7 @@ from .linalg import (
 Array = np.ndarray
 
 DEFAULT_TOL = 1e-9
-DEFAULT_SIGN_TOL = 1e-8
+SIGN_TOL = 1e-8  # a joint eigenvalue this close to 0 has no sign
 
 
 class ClosureValidationError(ValueError):
@@ -178,7 +179,8 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
 
     l_ops = [mod.c[j] @ d.z[j] for j in range(m)]
     l_viol, l_note = _l_property_violation(l_ops, eps, gram)
-    add("commuting_operators", "hard", l_viol, tol * max(1.0, scale**2), l_note)
+    add("commuting_operators", "hard", l_viol, tol * max(1.0, float(np.linalg.norm(gram))),
+        l_note)
 
     hol_problems = d.holonomy.validate(dim, tol)
     checks.append(ValidationCheck("holonomy_matrices", "hard", not hol_problems,
@@ -230,24 +232,6 @@ def _l_property_violation(l_ops: list[Array], eps: Array, gram: Array) -> tuple[
     return worst, note
 
 
-def build_L(d: ClosureDatum, tol: float = DEFAULT_TOL) -> list[Array]:
-    """The commuting Hermitian operators L_j = c_j Z_j.
-
-    Each is even, invertible, and squares to the scalar g_jj; any violated
-    property raises naming the offending operator pair.
-    """
-    l_ops = [d.module.c[j] @ d.z[j] for j in range(d.module.m)]
-    gram, _ = gram_matrix(d)
-    _require_l_contract(*_l_property_violation(l_ops, d.module.grading, gram), gram, tol)
-    return l_ops
-
-
-def _require_l_contract(viol: float, note: str, gram: Array, tol: float) -> None:
-    if viol > tol * max(1.0, float(np.linalg.norm(gram))):
-        raise ClosureValidationError(f"L operators violate their contract: {note} "
-                                     f"(violation {viol:.3e})")
-
-
 @dataclass(frozen=True)
 class GradedSide:
     """Per-grading-sign part of the local index computation."""
@@ -281,7 +265,7 @@ def graded_restrictions(d: ClosureDatum, tol: float = DEFAULT_TOL
 @dataclass(frozen=True)
 class ClosureAnalysis:
     """A validated closure up to, not including, any holonomy step: sides as
-    graded_restrictions returns them, no joint eigenvalue within sign_tol of 0."""
+    graded_restrictions returns them, no joint eigenvalue within SIGN_TOL of 0."""
 
     datum: ClosureDatum
     sides: tuple[tuple[Array, JointEigenstructure], ...]
@@ -292,9 +276,9 @@ class ClosureAnalysis:
         sides = []
         for u, struct in self.sides:
             # Exact: the negative eigenspaces are spanned by columns of one joint eigenbasis.
-            # tol stays 1e-8 because invariant_dim_in gates leaks at max(tol, w.tol).
+            # invariant_dim_in gates leaks at max(tol, w.tol), as for subspace_intersection.
             negative = np.all(struct.eigentuples < 0.0, axis=1)
-            inter = Subspace(u.shape[0], u @ struct.basis[:, negative], 1e-8)
+            inter = Subspace(u.shape[0], u @ struct.basis[:, negative], INTERSECTION_TOL)
             sides.append(GradedSide(
                 eigentuples=struct.eigentuples,
                 dim_intersection=inter.dim,
@@ -306,16 +290,14 @@ class ClosureAnalysis:
         return ind, LocalIndexDetail(closure=self.datum.name, plus=plus, minus=minus, index=ind)
 
 
-def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL,
-                    sign_tol: float = DEFAULT_SIGN_TOL) -> ClosureAnalysis:
-    """Validate one closure and jointly diagonalise its graded L_j, once; raises like
-    validation and build_L, or DegenerateEigenvalueError for |eigenvalue| <= sign_tol."""
+def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureAnalysis:
+    """Validate one closure and jointly diagonalise its graded L_j, once; raises
+    ClosureValidationError when a hard check fails, or DegenerateEigenvalueError
+    for |eigenvalue| <= SIGN_TOL."""
     report = validate_closure(d, tol)
     if not report.passed:
         raise ClosureValidationError(
             "closure data failed validation:\n" + report.summary())
-    l_check = next(c for c in report.checks if c.name == "commuting_operators")
-    _require_l_contract(l_check.max_violation, l_check.note, report.gram, tol)
     w, v = hermitian_eig(d.module.grading, tol)
     if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
         raise ClosureValidationError("grading eigenvalues are not +/-1")
@@ -325,36 +307,34 @@ def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL,
         restricted = [u.conj().T @ lj @ u for lj in report.l_ops]
         sides.append((u, joint_eig(restricted, tol)))
     smallest = min(float(np.min(np.abs(struct.eigentuples))) for _, struct in sides)
-    if smallest <= sign_tol:
+    if smallest <= SIGN_TOL:
         raise DegenerateEigenvalueError(
-            f"degenerate eigenvalue: |lambda| = {smallest:.3e} <= sign_tol = {sign_tol:.3e}")
+            f"degenerate eigenvalue: |lambda| = {smallest:.3e} <= sign_tol = {SIGN_TOL:.3e}")
     return ClosureAnalysis(d, tuple(sides), tol)
 
 
-def local_index(d: ClosureDatum, tol: float = DEFAULT_TOL,
-                sign_tol: float = DEFAULT_SIGN_TOL) -> tuple[int, LocalIndexDetail]:
+def local_index(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[int, LocalIndexDetail]:
     """Index contribution of one critical leaf closure.
 
     dim of the holonomy-invariant part of the intersection of the negative
     eigenspaces of the L_j on E^+, minus the same on E^-.
     """
-    return analyze_closure(d, tol, sign_tol).index_detail()
+    return analyze_closure(d, tol).index_detail()
 
 
-def global_index(s: ScenarioModel, tol: float = DEFAULT_TOL,
-                 sign_tol: float = DEFAULT_SIGN_TOL) -> int:
+def global_index(s: ScenarioModel, tol: float = DEFAULT_TOL) -> int:
     """Sum of local indices over the scenario's closures; 0 when there are none."""
     total = 0
     for d in s.closures:
         try:
-            ind, _ = local_index(d, tol, sign_tol)
+            ind, _ = local_index(d, tol)
         except (ClosureValidationError, LinalgError, NotInvariantError) as exc:
             raise type(exc)(f"closure {d.name!r}: {exc}") from exc
         total += ind
     return total
 
 
-def odd_invertible_perturbation(module: CliffordModule, tol: float = DEFAULT_TOL) -> Array:
+def odd_invertible_perturbation(module: CliffordModule) -> Array:
     """The canonical invertible odd perturbation in odd codimension.
 
     Z = i^(q(q+1)/2) c_1 c_2 ... c_q for q = module.m odd.  The returned
@@ -368,11 +348,11 @@ def odd_invertible_perturbation(module: CliffordModule, tol: float = DEFAULT_TOL
     for cj in module.c:
         z = z @ cj
     eye = np.eye(module.dim)
-    if np.linalg.norm(z - z.conj().T) > tol:
+    if np.linalg.norm(z - z.conj().T) > DEFAULT_TOL:
         raise ClosureValidationError("constructed Z is not Hermitian; module relations are off")
-    if np.linalg.norm(z @ z - eye) > tol:
+    if np.linalg.norm(z @ z - eye) > DEFAULT_TOL:
         raise ClosureValidationError("constructed Z is not unitary; module relations are off")
-    if np.linalg.norm(module.grading @ z + z @ module.grading) > tol:
+    if np.linalg.norm(module.grading @ z + z @ module.grading) > DEFAULT_TOL:
         raise ClosureValidationError("constructed Z is not odd for the module grading")
     return z
 

@@ -148,8 +148,8 @@ class CircleModel:
     drift: FourierMatrixFunction
     perturbation: FourierMatrixFunction
 
-    def validate(self, tol: float = 1e-9) -> None:
-        f = self.fiber_dim
+    def validate(self) -> None:
+        f, tol = self.fiber_dim, 1e-9  # the bound of every structural check below
         if f % 2:
             raise CircleModelError("fiber_dim must be even")
         eye = np.eye(f)
@@ -354,19 +354,19 @@ class ModelAtZeros:
         return float(positive[0])
 
 
-def find_zeros(z: FourierMatrixFunction, samples: int = 8192, tol: float = 1e-9
-               ) -> list[float]:
+def find_zeros(z: FourierMatrixFunction) -> list[float]:
     """Zeros of the matrix-valued function on [0, 2 pi), Newton-refined.
 
-    A zero means the whole matrix vanishes; simple zeros (invertible
-    derivative) are assumed and verified by the caller.  The samples that
-    seed Newton's method come from one inverse FFT (FourierMatrixFunction.on_grid),
-    so harmonics of samples / 2 or more raise CircleModelError.
+    A zero means the whole matrix vanishes, to 1e-9 relative to the largest
+    sampled norm; simple zeros (invertible derivative) are assumed and
+    verified by the caller.  The 8192 samples that seed Newton's method come
+    from one inverse FFT (FourierMatrixFunction.on_grid), so harmonics of
+    4096 or more raise CircleModelError.
     """
     if z.is_zero:
         raise CircleModelError("perturbation vanishes identically; no localization model")
-    ts = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    norms = np.linalg.norm(z.on_grid(samples), axis=(1, 2))
+    ts = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+    norms = np.linalg.norm(z.on_grid(ts.size), axis=(1, 2))
     scale = float(np.max(norms))
     dz = z.derivative()
     zeros: list[float] = []
@@ -385,14 +385,13 @@ def find_zeros(z: FourierMatrixFunction, samples: int = 8192, tol: float = 1e-9
             if abs(step) < 1e-15:
                 break
         t = t % (2.0 * np.pi)
-        if np.linalg.norm(z(t)) < tol * max(1.0, scale):
+        if np.linalg.norm(z(t)) < 1e-9 * max(1.0, scale):
             if all(min(abs(t - t0), 2 * np.pi - abs(t - t0)) > 1e-6 for t0 in zeros):
                 zeros.append(t)
     return sorted(zeros)
 
 
-def model_spectrum_at_zeros(model: CircleModel, count: int = 32,
-                            tol: float = 1e-9) -> ModelAtZeros:
+def model_spectrum_at_zeros(model: CircleModel, count: int = 32) -> ModelAtZeros:
     """Merged oscillator spectra of the local models at the zeros of Z.
 
     At a simple zero t_i the local model is -d^2 + L + x^2 L^2 with
@@ -401,7 +400,7 @@ def model_spectrum_at_zeros(model: CircleModel, count: int = 32,
     non-simple zeros.
     """
     model.validate()
-    zeros = find_zeros(model.perturbation, tol=tol)
+    zeros = find_zeros(model.perturbation)
     dz = model.perturbation.derivative()
     zero_data: list[ZeroData] = []
     merged: list[float] = []
@@ -477,26 +476,25 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int,
-                    stability_tol: float = STABILITY_TOL, max_doublings: int = 3
+def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int
                     ) -> tuple[Array, int, sparse.csr_matrix]:
     """Eigenvalues stable under grid doubling, escalating n_modes as needed.
 
     The doubling check is the self-convergence gate: values are reported only
-    once doubling moves the lowest eigenvalues by less than stability_tol.
+    once doubling moves the lowest eigenvalues by less than STABILITY_TOL.
     Localized eigenfunctions at large s need mode counts ~ s^(1/2), so the
     base resolution may be insufficient for the tail of a sweep; escalation
-    bounded by max_doublings keeps the gate honest and errors past the cap.
+    bounded by three doublings keeps the gate honest and errors past the cap.
     Returns the lowest max(count, 10) eigenvalues at the accepted mode count,
     that mode count, and the operator assembled there.
     """
     n = n_modes
     probe = max(count, 10)
     coarse = _banded_eigs(_assemble_sparse(model, s, n), probe)
-    for _ in range(max_doublings):
+    for _ in range(3):
         h = _assemble_sparse(model, s, 2 * n)
         fine = _banded_eigs(h, probe)
-        if float(np.max(np.abs(coarse - fine))) < stability_tol:
+        if float(np.max(np.abs(coarse - fine))) < STABILITY_TOL:
             return fine, 2 * n, h
         n, coarse = 2 * n, fine
         del h  # released before the next, larger assembly

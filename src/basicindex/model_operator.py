@@ -26,7 +26,6 @@ from .linalg import nullspace
 from .local_index import (
     ClosureAnalysis,
     ClosureDatum,
-    DEFAULT_SIGN_TOL,
     DEFAULT_TOL,
     ScenarioModel,
     analyze_closure,
@@ -44,15 +43,14 @@ def oscillator_levels(lam: float, count: int) -> list[float]:
     return [abs(lam) * (2 * n + 1) + lam for n in range(count)]
 
 
-def oscillator_1d_oracle(lam: float, count: int, n_grid: int = 2000,
-                         radius: float | None = None) -> Array:
+def oscillator_1d_oracle(lam: float, count: int, n_grid: int = 2000) -> Array:
     """Independent numerical spectrum of -f'' + (lam + lam^2 x^2) f on [-R, R].
 
     Dirichlet ends, second-order central differences on n_grid interior
     points, eigenvalues by bisection on the tridiagonal matrix; a second
     solve on the doubled grid cancels the O(h^2) error by one extrapolation
     step (the bare stencil at n_grid = 2000 only reaches ~1e-4).
-    R defaults to the decay rule exp(-|lam| R^2 / 2) < 1e-12.
+    R follows the decay rule exp(-|lam| R^2 / 2) < 1e-12.
     """
     from scipy.linalg import eigvalsh_tridiagonal  # scipy loads only where the oracle runs
 
@@ -60,7 +58,7 @@ def oscillator_1d_oracle(lam: float, count: int, n_grid: int = 2000,
         raise ValueError("lam must be nonzero (the model is vacuous at 0)")
     if n_grid < 500:
         raise ValueError("n_grid must be at least 500")
-    r = math.sqrt(2.0 * math.log(1e12) / abs(lam)) if radius is None else radius
+    r = math.sqrt(2.0 * math.log(1e12) / abs(lam))
 
     def solve(n: int) -> Array:
         h = 2.0 * r / (n + 1)
@@ -98,13 +96,12 @@ def compose_levels(eigentuple: Array, count: int) -> list[float]:
     return levels
 
 
-def compose_oracle_levels(eigentuple: Array, count: int, n_grid: int = 2000) -> list[float]:
+def compose_oracle_levels(eigentuple: Array, count: int) -> list[float]:
     """Like compose_levels but summing per-axis finite-difference oracle levels;
     the independent numerical counterpart for cross-checking."""
     levels = [0.0]
     for lam in np.asarray(eigentuple, dtype=float):
-        levels = _k_smallest_sums(levels, list(oscillator_1d_oracle(float(lam), count, n_grid)),
-                                  count)
+        levels = _k_smallest_sums(levels, list(oscillator_1d_oracle(float(lam), count)), count)
     return levels
 
 
@@ -142,8 +139,7 @@ def _blocks(a: ClosureAnalysis) -> tuple[EigentupleBlock, ...]:
                  for start, stop in struct.clusters)
 
 
-def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL,
-                      sign_tol: float = DEFAULT_SIGN_TOL) -> ModelSpectrum:
+def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL) -> ModelSpectrum:
     """The count smallest model eigenvalues (with multiplicity) plus the
     graded, holonomy-invariant kernel dimensions.
 
@@ -152,7 +148,7 @@ def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL,
     dimensions come from invariant_kernel (only all-negative eigentuples
     carry normalizable Gaussian sections, filtered by holonomy invariance).
     """
-    a = analyze_closure(d, tol, sign_tol)
+    a = analyze_closure(d, tol)
     blocks = _blocks(a)
     merged: list[float] = []
     for b in blocks:
@@ -242,8 +238,7 @@ def _kernel_dim_for_sign(d: ClosureDatum, blocks: list[EigentupleBlock],
     return nullspace(np.vstack(rows), tol).dim
 
 
-def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL,
-                     sign_tol: float = DEFAULT_SIGN_TOL) -> tuple[int, int]:
+def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[int, int]:
     """Graded dimensions of the holonomy-invariant model kernel.
 
     Computed on Gaussian-section pairs, then checked for exact integer
@@ -251,7 +246,7 @@ def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL,
     raises RouteConsistencyError because the two constructions are provably
     the same number.
     """
-    a = analyze_closure(d, tol, sign_tol)
+    a = analyze_closure(d, tol)
     return _checked_kernel_dims(a, _blocks(a))[0]
 
 
@@ -301,13 +296,12 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
-def model_cross_check(s: ScenarioModel, tol: float = DEFAULT_TOL,
-                      sign_tol: float = DEFAULT_SIGN_TOL) -> CrossCheckReport:
+def model_cross_check(s: ScenarioModel, tol: float = DEFAULT_TOL) -> CrossCheckReport:
     """Verify sum over closures of graded kernel dimensions against the
     global index; agreement is required, disagreement is a hard error."""
     entries = []
     for d in s.closures:
-        a = analyze_closure(d, tol, sign_tol)
+        a = analyze_closure(d, tol)
         (kp, km), ind = _checked_kernel_dims(a, _blocks(a))
         entries.append(CrossCheckEntry(d.name, (kp, km), kp - km, ind))
     # each entry already passed _checked_kernel_dims, so the report is consistent

@@ -44,13 +44,16 @@ class ScenarioFormatError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _is_int(val) -> bool:
+    """An integer, not a bool (json.loads gives true/false as bool, an int subclass)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _want(obj: dict, key: str, kind, path: str):
     if key not in obj:
         raise ScenarioFormatError(f"{path}.{key}", "missing required key")
     val = obj[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and not _is_int(val)):
         raise ScenarioFormatError(f"{path}.{key}", f"expected {kind.__name__}, "
                                                    f"got {type(val).__name__}")
     return val
@@ -133,12 +136,12 @@ def _parse_module(obj: dict, m: int, path: str) -> CliffordModule:
             raise ScenarioFormatError(f"{path}.grading",
                                       f"unknown grading kind {grading!r}")
         ambient = obj.get("ambient_dim", m)
-        if not isinstance(ambient, int) or ambient < m:
+        if not _is_int(ambient) or ambient < m:
             raise ScenarioFormatError(f"{path}.ambient_dim",
                                       f"expected an integer >= normal_dim = {m}")
         axes = obj.get("generator_axes", list(range(1, m + 1)))
         if (not isinstance(axes, list) or len(axes) != m
-                or not all(isinstance(a, int) for a in axes)):
+                or not all(_is_int(a) for a in axes)):
             raise ScenarioFormatError(f"{path}.generator_axes",
                                       f"expected {m} integer letters")
         try:
@@ -190,7 +193,7 @@ def _parse_perturbation(obj: dict, module: CliffordModule, path: str) -> tuple[A
             if not isinstance(scale, (int, float)):
                 raise ScenarioFormatError(f"{epath}[0]", "expected a real scale")
             scale = _finite(scale, f"{epath}[0]")
-            if not isinstance(axis, int) or not 1 <= axis <= ambient:
+            if not _is_int(axis) or not 1 <= axis <= ambient:
                 raise ScenarioFormatError(f"{epath}[1]", f"expected a letter in 1..{ambient}")
             unit = np.eye(ambient)[axis - 1]
             if form == "hat":
@@ -203,6 +206,15 @@ def _parse_perturbation(obj: dict, module: CliffordModule, path: str) -> tuple[A
                                           "(expected 'hat' or 'ic')")
         return tuple(out)
     raise ScenarioFormatError(f"{path}.kind", f"unknown perturbation kind {kind!r}")
+
+
+def _derived(action, module: CliffordModule, slice_mat: Array, path: str) -> Array:
+    """The module matrix derived from one slice matrix; a slice matrix that is not
+    orthogonal (components) or not skew (infinitesimal) is a schema error."""
+    try:
+        return action(module, slice_mat)
+    except ValueError as exc:
+        raise ScenarioFormatError(path, str(exc)) from exc
 
 
 def _parse_holonomy(obj: dict, module: CliffordModule, m: int, path: str) -> HolonomyGroup:
@@ -221,8 +233,10 @@ def _parse_holonomy(obj: dict, module: CliffordModule, m: int, path: str) -> Hol
         if module.exterior is None:
             raise ScenarioFormatError(f"{path}.module_action",
                                       "derive-from-exterior needs an exterior module")
-        inf = [(x, derive_infinitesimal_action(module, x)) for x in inf_slices]
-        comp = [(g, derive_component_action(module, g)) for g in comp_slices]
+        inf = [(x, _derived(derive_infinitesimal_action, module, x,
+                            f"{path}.infinitesimal[{i}]")) for i, x in enumerate(inf_slices)]
+        comp = [(g, _derived(derive_component_action, module, g,
+                             f"{path}.components[{i}]")) for i, g in enumerate(comp_slices)]
     elif isinstance(action, dict):
         dim = module.dim
         inf_mats = _want(action, "infinitesimal", list, f"{path}.module_action") \
@@ -286,7 +300,7 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> ScenarioModel:
     q = _want(doc, "codimension", int, origin)
     closures_raw = _want(doc, "closures", list, origin)
     expected = doc.get("expected_index")
-    if expected is not None and not isinstance(expected, int):
+    if expected is not None and not _is_int(expected):
         raise ScenarioFormatError(f"{origin}.expected_index", "expected an integer")
     closures = []
     for i, cobj in enumerate(closures_raw):

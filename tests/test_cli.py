@@ -1,7 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -235,3 +238,169 @@ def test_cli_import_leaves_out_scipy_stats_and_special():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def raw_corpus_doc(name):
+    return json.loads((resources.files("basicindex") / "corpus" / f"{name}.json").read_text())
+
+
+def run_quiet(argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("key,slice_mat,message", [
+    ("components", [[1.0, 1.0], [0.0, 1.0]], "not orthogonal"),
+    ("infinitesimal", [[1.0, 0.0], [0.0, 0.0]], "not skew-symmetric"),
+])
+def test_bad_derived_holonomy_slice_is_input_error(tmp_path, key, slice_mat, message):
+    doc = raw_corpus_doc("sphere_suspension")
+    doc["closures"][0]["holonomy"][key] = [slice_mat]
+    code, _, err = run_quiet(["index", write_scenario(tmp_path, doc)])
+    assert code == 2
+    assert f"closures[0].holonomy.{key}[0]: " in err and message in err
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,key_path", [
+    (("codimension",), "codimension"),
+    (("expected_index",), "expected_index"),
+    (("closures", 0, "normal_dim"), "closures[0].normal_dim"),
+    (("closures", 0, "module", "ambient_dim"), "closures[0].module.ambient_dim"),
+    (("closures", 0, "module", "generator_axes", 0), "closures[0].module.generator_axes"),
+    (("closures", 0, "perturbation", "coefficients", 0, 1),
+     "closures[0].perturbation.coefficients[0][1]"),
+    (("circle_model", "fiber_dim"), "circle_model.fiber_dim"),
+    (("circle_model", "perturbation", "terms", 0, "harmonic"),
+     "circle_model.perturbation.terms[0].harmonic"),
+])
+def test_bool_in_integer_field_is_input_error(tmp_path, path, key_path):
+    doc = raw_corpus_doc("carriere")
+    _set(doc, path, True)
+    code, _, err = run_quiet(["validate", write_scenario(tmp_path, doc)])
+    assert code == 2
+    assert err.startswith(f"input error: scenario.json.{key_path}: ")
+
+
+# --- the exit-code contract on mutated corpus files ---
+
+SCALAR_MUTATIONS = (True, "x", None, [], 0, -1)
+MATRIX_KEYS = {"symbol", "grading", "cos", "sin", "Z", "c", "infinitesimal", "components"}
+DIMENSION_KEYS = {"normal_dim", "ambient_dim", "codimension", "fiber_dim"}
+INTEGER_KEYS = DIMENSION_KEYS | {"expected_index", "harmonic"}
+
+
+def scalar_paths(node, path=()):
+    """Key paths of the scalar schema fields.  Matrices are not descended into, and an
+    array or object in a list that repeats the layout of the list's first one is skipped."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = [(i, x) for i, x in enumerate(node) if i == 0 or not isinstance(x, (dict, list))
+                 or layout(x) != layout(node[0])]
+    else:
+        yield path
+        return
+    for key, child in items:
+        if not (key in MATRIX_KEYS and isinstance(child, list)):
+            yield from scalar_paths(child, path + (key,))
+
+
+def layout(node):
+    return list(scalar_paths(node))
+
+
+def is_integer_field(path):
+    return (path[-1] in INTEGER_KEYS or path[-2:-1] == ("generator_axes",)
+            or (path[-3:-2] == ("coefficients",) and path[-1] == 1))
+
+
+def bad_slices(m):
+    non_orthogonal = np.eye(m)
+    non_orthogonal[0, m - 1] += 1.0
+    non_skew = np.zeros((m, m))
+    non_skew[0, 0] = 1.0
+    return non_orthogonal.tolist(), non_skew.tolist()
+
+
+def contract_mutations(doc):
+    """(path, value, whether the mutated file must be an input error) from a fixed table."""
+    paths = list(scalar_paths(doc))
+    for path in paths:
+        original = doc
+        for key in path:
+            original = original[key]
+        for value in SCALAR_MUTATIONS:
+            if path[-1] in DIMENSION_KEYS and isinstance(value, int) and value > original:
+                continue  # never grow a dimension: no large array is allocated
+            yield path, value, value is True and is_integer_field(path)
+    for i in sorted({p[1] for p in paths if p[0] == "closures"}):
+        closure = doc["closures"][i]
+        hol = closure["holonomy"]
+        derived = hol.get("kind") != "trivial" and \
+            hol.get("module_action", "derive-from-exterior") == "derive-from-exterior"
+        for bad in bad_slices(closure["normal_dim"]):
+            for j in range(len(hol.get("infinitesimal", []))):
+                yield ("closures", i, "holonomy", "infinitesimal", j), bad, derived
+            yield ("closures", i, "holonomy", "components"), [bad], derived
+
+
+@pytest.mark.parametrize("name", sorted(basicindex.corpus_names()))
+def test_exit_code_contract_on_mutated_corpus(tmp_path, name):
+    doc = raw_corpus_doc(name)
+    path = str(tmp_path / "mutated.json")
+    count = 0
+    for key_path, value, input_error in contract_mutations(doc):
+        mutated = json.loads(json.dumps(doc))
+        _set(mutated, key_path, value)
+        Path(path).write_text(json.dumps(mutated))
+        for command in ("index", "validate", "model-check"):
+            code, _, err = run_quiet([command, path])  # an escaping exception fails the test
+            assert code in (0, 1, 2), (key_path, value, command)
+            if input_error:
+                assert code == 2, (key_path, value, command, err)
+        count += 1
+    assert count >= len(SCALAR_MUTATIONS)
+
+
+# --- one L-contract gate ---
+
+def test_validate_and_index_agree_at_the_l_contract_gate(tmp_path):
+    model = load_corpus_scenario("sphere_suspension")
+    north = model.closures[0]
+    c2, eps = north.module.c[1], north.module.grading
+    x = np.random.default_rng(5).standard_normal((4, 8)).view(complex)
+    x = x + x.conj().T
+    x = (x - eps @ x @ eps) / 2  # odd
+    e = (x + c2 @ x @ c2) / 2  # anticommutes with c_2, stays Hermitian and odd
+    e /= np.linalg.norm(e)
+    tol = 1e-9
+    window = 0
+    for delta in np.logspace(-10, -8, 21):
+        d = ClosureDatum(north.name, north.module, (north.z[0], north.z[1] + delta * e),
+                         north.holonomy)
+        report = basicindex.validate_closure(d, tol)
+        try:
+            basicindex.local_index(d, tol)
+            computed = True
+        except (basicindex.ClosureValidationError, basicindex.LinalgError):
+            computed = False
+        assert report.passed == computed, delta
+        violation = next(c.max_violation for c in report.checks
+                         if c.name == "commuting_operators")
+        scale = max(float(np.linalg.norm(z)) for z in d.z)
+        if tol * max(1.0, np.linalg.norm(report.gram)) < violation <= tol * max(1.0, scale**2):
+            window += 1
+            doc = scenario_to_dict(ScenarioModel(model.name, model.codimension,
+                                                 (d,) + model.closures[1:]))
+            code, out, _ = run_quiet(["validate", write_scenario(tmp_path, doc)])
+            assert code == 1
+            assert "[FAIL] commuting_operators" in out
+    assert window > 0

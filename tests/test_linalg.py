@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from basicindex import (
-    DegenerateEigenvalueError,
     LinalgError,
     Subspace,
     hermitian_eig,
     joint_eig,
-    negative_eigenspace,
     nullspace,
     subspace_intersection,
     wedge_op,
@@ -129,17 +127,6 @@ def test_joint_eig_rejects_non_commuting():
     sz = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(LinalgError, match="commute"):
         joint_eig([sx, sz])
-
-
-def test_negative_eigenspace_simple():
-    struct = joint_eig([np.diag([1.0, -1.0]).astype(complex)])
-    assert negative_eigenspace(struct, 0).dim == 1
-
-
-def test_negative_eigenspace_degenerate_error():
-    struct = joint_eig([np.diag([1e-12, 1.0]).astype(complex)])
-    with pytest.raises(DegenerateEigenvalueError):
-        negative_eigenspace(struct, 0, sign_tol=1e-8)
 
 
 def test_intersection_with_self():

@@ -10,7 +10,6 @@ from basicindex import (
     NotInvariantError,
     ScenarioModel,
     admissible_rank,
-    build_L,
     contract_op,
     corpus_names,
     exterior_module,
@@ -129,12 +128,12 @@ def test_validation_is_report_only():
 def test_build_L_sphere_north_matches_number_operator():
     w1, ct1 = wedge_op(1, 2), contract_op(1, 2)
     expected = -(w1 @ ct1 - ct1 @ w1)
-    l_ops = build_L(sphere_closure("north"))
+    l_ops = validate_closure(sphere_closure("north")).l_ops
     assert np.allclose(l_ops[0], expected, atol=1e-12)
 
 
 def test_build_L_carriere_eigenvalues():
-    l_ops = build_L(carriere_closure("quarter"))
+    l_ops = validate_closure(carriere_closure("quarter")).l_ops
     assert np.allclose(np.sort(np.linalg.eigvalsh(l_ops[0])),
                        [-2 * np.pi, -2 * np.pi, 2 * np.pi, 2 * np.pi])
 
@@ -144,7 +143,7 @@ def test_build_L_carriere_eigenvalues():
                                   lambda: cp2_closure(0.8, 2.1)])
 def test_build_L_commutators_vanish(make):
     d = make()
-    l_ops = build_L(d)
+    l_ops = validate_closure(d).l_ops
     for a, b in itertools.combinations(l_ops, 2):
         assert np.linalg.norm(a @ b - b @ a) < 1e-10
     for a in l_ops:  # grading restriction is well defined
@@ -155,7 +154,7 @@ def test_build_L_raises_on_bad_data():
     d = sphere_closure("north")
     bad = ClosureDatum(d.name, d.module, (1j * d.module.c[0], d.z[1]), d.holonomy)
     with pytest.raises(ClosureValidationError, match="L_0"):
-        build_L(bad)
+        local_index(bad)
 
 
 # --- local indices ---

@@ -155,7 +155,7 @@ def test_constant_z_grows_linearly():
 
 def test_unresolvable_discretization_errors_out():
     with pytest.raises(DiscretizationError):
-        _converged_eigs(cosine_preset(), 1.0e6, 64, 4, max_doublings=2)
+        _converged_eigs(cosine_preset(), 1.0e6, 64, 4)
 
 
 def windowed_linear_model(width=1.55, harmonics=80):
