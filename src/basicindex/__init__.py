@@ -11,7 +11,6 @@ spectral localization numerically on a 1D periodic laboratory.
 
 from .cliff import (
     CliffordModule,
-    chirality,
     clifford_c,
     clifford_hat,
     contract_op,
@@ -23,12 +22,10 @@ from .cliff import (
     wedge_op,
 )
 from .holonomy import (
-    EquivarianceReport,
     HolonomyGroup,
     NotInvariantError,
     check_equivariance,
     invariant_dim_in,
-    invariant_subspace,
 )
 from .linalg import (
     DegenerateEigenvalueError,
@@ -45,7 +42,6 @@ from .local_index import (
     ClosureValidationError,
     LocalIndexDetail,
     ScenarioModel,
-    admissible_rank,
     global_index,
     local_index,
     odd_invertible_perturbation,
@@ -57,7 +53,6 @@ from .localization import (
     ConvergenceReport,
     DiscretizationError,
     FourierMatrixFunction,
-    assemble_Hs,
     carriere_preset,
     convergence_report,
     cosine_preset,

@@ -88,22 +88,6 @@ def parity_grading(m: int) -> Array:
     return eps
 
 
-def chirality(q: int, module: "CliffordModule") -> Array:
-    """Chirality involution i^k c_1 c_2 ... c_q with k = q/2 (q even) or
-    (q+1)/2 (q odd), built from the module's own generators.
-
-    For even q this is a grading (Hermitian involution anticommuting with
-    every c_j); for odd q the product is central instead.
-    """
-    if module.m != q:
-        raise ValueError(f"module has {module.m} generators, expected q = {q}")
-    k = q // 2 if q % 2 == 0 else (q + 1) // 2
-    gamma = np.eye(module.dim, dtype=complex) * (1j**k)
-    for cj in module.c:
-        gamma = gamma @ cj
-    return gamma
-
-
 def exterior_rep(g: Array) -> Array:
     """Functorial unitary action of an orthogonal matrix g on Lambda*(R^m).
 

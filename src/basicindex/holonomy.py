@@ -88,32 +88,12 @@ def derive_infinitesimal_action(module: CliffordModule, x: Array) -> Array:
     return derived_exterior_action(_embed_slice(np.asarray(x, dtype=float), module, False))
 
 
-def _generator_rows(group: HolonomyGroup, module_dim: int) -> Array:
-    rows = []
-    eye = np.eye(module_dim, dtype=complex)
-    for _, rho in group.components:
-        rows.append(rho - eye)
-    for _, dx in group.infinitesimal:
-        rows.append(dx)
-    return np.vstack(rows)
-
-
-def invariant_subspace(group: HolonomyGroup, module_dim: int, tol: float = 1e-9) -> Subspace:
-    """Fixed vectors of the generated group: the joint kernel of rho(g) - I
-    over component generators and of drho(X) over infinitesimal ones.
-
-    The fixed space of the generators is the fixed space of the group they
-    generate, and the kernel of Lie-algebra generators is the kernel of the
-    generated algebra, so stacking the generators suffices.
-    """
-    if group.trivial:
-        return Subspace.full(module_dim, tol)
-    return nullspace(_generator_rows(group, module_dim), tol)
-
-
 def invariant_dim_in(group: HolonomyGroup, w: Subspace, tol: float = 1e-9) -> int:
     """Dimension of the fixed vectors of the group action inside w.
 
+    The fixed space of the generators is the fixed space of the group they
+    generate, and the kernel of Lie-algebra generators is the kernel of the
+    generated algebra, so stacking the restricted generators suffices.
     w must be group-invariant as a subspace; a violating generator raises
     NotInvariantError naming it, since genuine foliation data guarantees
     invariance and a violation means the scenario data is inconsistent.
@@ -138,55 +118,22 @@ def invariant_dim_in(group: HolonomyGroup, w: Subspace, tol: float = 1e-9) -> in
     return nullspace(np.vstack(rows), tol).dim
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
-    """Worst violation of each equivariance rule, per generator."""
-
-    clifford: tuple[float, ...]  # one entry per generator, c-action rule
-    perturbation: tuple[float, ...]  # one entry per generator, Z rule
-    max_violation: float
-
-    def __str__(self) -> str:
-        lines = ["equivariance violations (clifford / perturbation):"]
-        for i, (a, b) in enumerate(zip(self.clifford, self.perturbation)):
-            lines.append(f"  generator {i}: {a:.3e} / {b:.3e}")
-        return "\n".join(lines)
-
-
 def check_equivariance(group: HolonomyGroup, module: CliffordModule,
-                       z: tuple[Array, ...]) -> EquivarianceReport:
+                       z: tuple[Array, ...]) -> float:
     """Diagnostic check that the group action intertwines c_j and Z_j.
 
     For a component (dg, rho): rho c_j rho^-1 = sum_k dg_kj c_k and likewise
     for Z; for an infinitesimal (X, dX) the bracket analogue
-    [dX, c_j] = sum_k X_kj c_k.  Returns worst violations per generator;
-    non-equivariant data still computes elsewhere, this only reports.
+    [dX, c_j] = sum_k X_kj c_k.  Returns the worst violation over all
+    generators and rules, 0.0 for the trivial group; non-equivariant data
+    still computes elsewhere, this only reports.
     """
-    viol_c: list[float] = []
-    viol_z: list[float] = []
-    for dg, rho in group.components:
-        rho_inv = rho.conj().T
-        worst_c = worst_z = 0.0
-        for j in range(module.m):
-            target_c = sum(dg[k, j] * module.c[k] for k in range(module.m))
-            target_z = sum(dg[k, j] * z[k] for k in range(module.m))
-            worst_c = max(worst_c, float(np.linalg.norm(rho @ module.c[j] @ rho_inv - target_c)))
-            worst_z = max(worst_z, float(np.linalg.norm(rho @ z[j] @ rho_inv - target_z)))
-        viol_c.append(worst_c)
-        viol_z.append(worst_z)
-    for x, dx in group.infinitesimal:
-        worst_c = worst_z = 0.0
-        for j in range(module.m):
-            target_c = sum(x[k, j] * module.c[k] for k in range(module.m))
-            target_z = sum(x[k, j] * z[k] for k in range(module.m))
-            worst_c = max(worst_c, float(np.linalg.norm(
-                dx @ module.c[j] - module.c[j] @ dx - target_c)))
-            worst_z = max(worst_z, float(np.linalg.norm(dx @ z[j] - z[j] @ dx - target_z)))
-        viol_c.append(worst_c)
-        viol_z.append(worst_z)
-    allv = viol_c + viol_z
-    return EquivarianceReport(
-        clifford=tuple(viol_c),
-        perturbation=tuple(viol_z),
-        max_violation=max(allv) if allv else 0.0,
-    )
+    m = module.m
+
+    def worst(act, mat: Array) -> float:
+        return max(float(np.linalg.norm(act(ops[j]) - sum(mat[k, j] * ops[k] for k in range(m))))
+                   for ops in (module.c, z) for j in range(m))
+
+    violations = [worst(lambda a: rho @ a @ rho.conj().T, dg) for dg, rho in group.components]
+    violations += [worst(lambda a: dx @ a - a @ dx, x) for x, dx in group.infinitesimal]
+    return max(violations, default=0.0)

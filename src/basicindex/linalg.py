@@ -105,16 +105,8 @@ class JointEigenstructure:
     """
 
     basis: Array  # (dim, dim) unitary
-    eigentuples: Array  # (dim, n_ops) real
+    eigentuples: Array  # (dim, number of operators) real
     clusters: tuple[tuple[int, int], ...]  # (start, stop) ranges of equal eigentuples
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def n_ops(self) -> int:
-        return self.eigentuples.shape[1]
 
 
 def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:

@@ -192,8 +192,7 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
         for _, dx in d.holonomy.infinitesimal:
             grading_comm = max(grading_comm, float(np.linalg.norm(dx @ eps - eps @ dx)))
         add("holonomy_commutes_with_grading", "hard", grading_comm, tol * scale)
-        equiv = check_equivariance(d.holonomy, mod, d.z)
-        add("equivariance", "warning", equiv.max_violation, tol * scale,
+        add("equivariance", "warning", check_equivariance(d.holonomy, mod, d.z), tol * scale,
             "diagnostic only; flagged data still computes")
 
     if spd:
@@ -355,11 +354,3 @@ def odd_invertible_perturbation(module: CliffordModule) -> Array:
     if np.linalg.norm(module.grading @ z + z @ module.grading) > DEFAULT_TOL:
         raise ClosureValidationError("constructed Z is not odd for the module grading")
     return z
-
-
-def admissible_rank(k: int, r: int) -> bool:
-    """Whether rank r admits a linear family on R^k invertible off the origin:
-    true iff r is a positive multiple of 2^floor((k-1)/2)."""
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be positive integers")
-    return r % (1 << ((k - 1) // 2)) == 0

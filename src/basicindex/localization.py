@@ -218,11 +218,6 @@ def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_m
     return (d_op @ d_op).tocsr() / s
 
 
-def assemble_Hs(model: CircleModel, s: float, n_modes: int) -> Array:
-    """Dense Hermitian Fourier-Galerkin matrix of (1/s)(C d/dt + B + s Z)^2."""
-    return _assemble_sparse(model, s, n_modes).toarray()
-
-
 def _shifted_factor(h: sparse.csr_matrix) -> tuple[float, Array]:
     """A shift sigma below the spectrum of h and the banded Cholesky factor of h - sigma I.
 
@@ -294,7 +289,11 @@ def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
 
 
 def _graded_eigs(model: CircleModel, h: sparse.csr_matrix, count: int) -> tuple[Array, Array]:
-    """Lowest eigenvalues of the assembled h on the +1 and -1 grading blocks."""
+    """Lowest eigenvalues of the assembled h on the +1 and -1 grading blocks.
+
+    h commutes with the induced grading on modes; the off-block leak is
+    checked (< 1e-10 relative) before the two blocks are solved separately.
+    """
     from scipy import sparse
 
     w, u = hermitian_eig(model.grading)
@@ -312,30 +311,13 @@ def _graded_eigs(model: CircleModel, h: sparse.csr_matrix, count: int) -> tuple[
     return _banded_eigs(blocks[0], count), _banded_eigs(blocks[1], count)
 
 
-def low_spectrum(model: CircleModel, s: float, n_modes: int, count: int) -> Array:
-    """Lowest count eigenvalues of the truncated H_s, by shift-invert Lanczos."""
-    return _banded_eigs(_assemble_sparse(model, s, n_modes), count)
-
-
-def graded_low_spectrum(model: CircleModel, s: float, n_modes: int, count: int
-                        ) -> tuple[Array, Array]:
-    """Lowest eigenvalues of H_s restricted to the +1 and -1 grading blocks.
-
-    H_s commutes with the induced grading on modes; the off-block leak is
-    checked (< 1e-10 relative) before the two blocks are solved separately
-    by shift-invert Lanczos.
-    """
-    return _graded_eigs(model, _assemble_sparse(model, s, n_modes), count)
-
-
 @dataclass(frozen=True)
 class ZeroData:
     """Linearization at one simple zero of the perturbation."""
 
     t: float
-    linearized: Array  # L = C Z'(t)
-    eigenvalues: Array
-    kernel_plus: int  # negative eigenvectors of L on the +1 grading block
+    eigenvalues: Array  # of L = C Z'(t)
+    kernel_plus: int  # negative eigenvalues of L on the +1 grading block
     kernel_minus: int
 
 
@@ -402,6 +384,8 @@ def model_spectrum_at_zeros(model: CircleModel, count: int = 32) -> ModelAtZeros
     model.validate()
     zeros = find_zeros(model.perturbation)
     dz = model.perturbation.derivative()
+    gw, gu = hermitian_eig(model.grading)
+    sides = (gu[:, gw > 0], gu[:, gw < 0])
     zero_data: list[ZeroData] = []
     merged: list[float] = []
     for t in zeros:
@@ -413,19 +397,12 @@ def model_spectrum_at_zeros(model: CircleModel, count: int = 32) -> ModelAtZeros
         lin = model.symbol @ deriv
         if np.linalg.norm(lin - lin.conj().T) > 1e-8 * max(1.0, np.linalg.norm(lin)):
             raise CircleModelError(f"linearization at t = {t:.6f} is not Hermitian")
-        w, v = hermitian_eig(lin)
-        kp = km = 0
-        for idx in range(len(w)):
-            if w[idx] < 0.0:
-                parity = float(np.real(v[:, idx].conj() @ model.grading @ v[:, idx]))
-                if parity > 0:
-                    kp += 1
-                else:
-                    km += 1
+        w = hermitian_eig(lin)[0]
+        # L is even, so it is block diagonal on the grading eigenspaces: count per block
+        kp, km = (int(np.sum(np.linalg.eigvalsh(u.conj().T @ lin @ u) < 0.0)) for u in sides)
         for lam in w:
             merged.extend(oscillator_levels(float(lam), count))
-        zero_data.append(ZeroData(t=t, linearized=lin, eigenvalues=w,
-                                  kernel_plus=kp, kernel_minus=km))
+        zero_data.append(ZeroData(t=t, eigenvalues=w, kernel_plus=kp, kernel_minus=km))
     merged.sort()
     return ModelAtZeros(
         zeros=tuple(zero_data),

@@ -190,7 +190,7 @@ def _parse_perturbation(obj: dict, module: CliffordModule, path: str) -> tuple[A
                 raise ScenarioFormatError(epath, "expected [scale, axis] or [scale, axis, form]")
             scale, axis = entry[0], entry[1]
             form = entry[2] if len(entry) == 3 else "hat"
-            if not isinstance(scale, (int, float)):
+            if not isinstance(scale, (int, float)) or isinstance(scale, bool):
                 raise ScenarioFormatError(f"{epath}[0]", "expected a real scale")
             scale = _finite(scale, f"{epath}[0]")
             if not _is_int(axis) or not 1 <= axis <= ambient:
@@ -218,7 +218,14 @@ def _derived(action, module: CliffordModule, slice_mat: Array, path: str) -> Arr
 
 
 def _parse_holonomy(obj: dict, module: CliffordModule, m: int, path: str) -> HolonomyGroup:
-    if obj.get("kind") == "trivial":
+    if "kind" in obj:
+        if obj["kind"] != "trivial":
+            raise ScenarioFormatError(f"{path}.kind", f"unknown holonomy kind {obj['kind']!r} "
+                                                      "(expected 'trivial')")
+        for key in ("infinitesimal", "components", "module_action"):
+            if key in obj:
+                raise ScenarioFormatError(f"{path}.{key}", "a 'trivial' holonomy takes no "
+                                                           "generators or module action")
         return HolonomyGroup.trivial_group(m)
     inf_raw = obj.get("infinitesimal", [])
     comp_raw = obj.get("components", [])

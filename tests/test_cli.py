@@ -280,6 +280,8 @@ def _set(doc, path, value):
     (("circle_model", "fiber_dim"), "circle_model.fiber_dim"),
     (("circle_model", "perturbation", "terms", 0, "harmonic"),
      "circle_model.perturbation.terms[0].harmonic"),
+    (("closures", 0, "perturbation", "coefficients", 0, 0),  # a real scale, not a boolean
+     "closures[0].perturbation.coefficients[0][0]"),
 ])
 def test_bool_in_integer_field_is_input_error(tmp_path, path, key_path):
     doc = raw_corpus_doc("carriere")
@@ -287,6 +289,19 @@ def test_bool_in_integer_field_is_input_error(tmp_path, path, key_path):
     code, _, err = run_quiet(["validate", write_scenario(tmp_path, doc)])
     assert code == 2
     assert err.startswith(f"input error: scenario.json.{key_path}: ")
+
+
+@pytest.mark.parametrize("name,kind,key", [
+    ("carriere", "bogus", "kind"),
+    ("carriere", True, "kind"),
+    ("sphere_suspension", "trivial", "infinitesimal"),  # would drop the generators
+])
+def test_holonomy_kind_is_input_error(tmp_path, name, kind, key):
+    doc = raw_corpus_doc(name)
+    doc["closures"][0]["holonomy"]["kind"] = kind
+    code, _, err = run_quiet(["index", write_scenario(tmp_path, doc)])
+    assert code == 2
+    assert err.startswith(f"input error: scenario.json.closures[0].holonomy.{key}: ")
 
 
 # --- the exit-code contract on mutated corpus files ---
@@ -317,9 +332,10 @@ def layout(node):
     return list(scalar_paths(node))
 
 
-def is_integer_field(path):
+def rejects_true(path):
+    """Integer fields and hat_linear coefficient entries: a JSON true there is an input error."""
     return (path[-1] in INTEGER_KEYS or path[-2:-1] == ("generator_axes",)
-            or (path[-3:-2] == ("coefficients",) and path[-1] == 1))
+            or path[-3:-2] == ("coefficients",))
 
 
 def bad_slices(m):
@@ -340,16 +356,21 @@ def contract_mutations(doc):
         for value in SCALAR_MUTATIONS:
             if path[-1] in DIMENSION_KEYS and isinstance(value, int) and value > original:
                 continue  # never grow a dimension: no large array is allocated
-            yield path, value, value is True and is_integer_field(path)
+            # every holonomy kind but "trivial" is an input error
+            yield path, value, path[-2:] == ("holonomy", "kind") or \
+                (value is True and rejects_true(path))
     for i in sorted({p[1] for p in paths if p[0] == "closures"}):
         closure = doc["closures"][i]
         hol = closure["holonomy"]
-        derived = hol.get("kind") != "trivial" and \
+        if hol.get("infinitesimal") or hol.get("components"):
+            yield ("closures", i, "holonomy", "kind"), "trivial", True  # would drop generators
+        # a bad derived slice, or any generator next to "kind": "trivial", is an input error
+        rejected = "kind" in hol or \
             hol.get("module_action", "derive-from-exterior") == "derive-from-exterior"
         for bad in bad_slices(closure["normal_dim"]):
             for j in range(len(hol.get("infinitesimal", []))):
-                yield ("closures", i, "holonomy", "infinitesimal", j), bad, derived
-            yield ("closures", i, "holonomy", "components"), [bad], derived
+                yield ("closures", i, "holonomy", "infinitesimal", j), bad, rejected
+            yield ("closures", i, "holonomy", "components"), [bad], rejected
 
 
 @pytest.mark.parametrize("name", sorted(basicindex.corpus_names()))

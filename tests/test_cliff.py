@@ -3,13 +3,13 @@ import pytest
 from scipy.linalg import expm
 
 from basicindex import (
-    chirality,
     clifford_c,
     clifford_hat,
     contract_op,
     derived_exterior_action,
     exterior_module,
     exterior_rep,
+    odd_invertible_perturbation,
     parity_grading,
     wedge_op,
 )
@@ -112,29 +112,29 @@ def test_generator_relations(m):
             assert np.linalg.norm(cs[j] @ hats[k] + hats[k] @ cs[j]) < 1e-10
 
 
+# The chirality i^k c_1 ... c_q (k = q/2 for even q, (q + 1)/2 for odd q) is the
+# "chirality" grading for even q; for odd q, i^((q+1)/2) = i^(q(q+1)/2), so it is
+# the canonical odd invertible perturbation.
 def test_chirality_q1():
-    mod = exterior_module(1, "parity")
-    gamma = chirality(1, mod)
+    gamma = odd_invertible_perturbation(exterior_module(1, "parity"))
     assert np.allclose(gamma, np.array([[0, -1j], [1j, 0]]))
     assert np.allclose(np.sort(np.linalg.eigvalsh(gamma)), [-1.0, 1.0])
 
 
 def test_chirality_q2_involution():
-    mod = exterior_module(2, "parity")
-    gamma = chirality(2, mod)
+    gamma = exterior_module(2, "chirality").grading
     assert np.allclose(gamma @ gamma, np.eye(4), atol=1e-12)
     assert np.allclose(gamma, gamma.conj().T)
 
 
 def test_chirality_commutation_pattern():
     for q in (2, 4):
-        mod = exterior_module(q, "parity")
-        gamma = chirality(q, mod)
+        mod = exterior_module(q, "chirality")
         for cj in mod.c:
-            assert np.linalg.norm(gamma @ cj + cj @ gamma) < 1e-10
+            assert np.linalg.norm(mod.grading @ cj + cj @ mod.grading) < 1e-10
     for q in (1, 3):
         mod = exterior_module(q, "parity")
-        gamma = chirality(q, mod)
+        gamma = odd_invertible_perturbation(mod)
         for cj in mod.c:
             assert np.linalg.norm(gamma @ cj - cj @ gamma) < 1e-10
 
@@ -142,8 +142,7 @@ def test_chirality_commutation_pattern():
 def test_chirality_q4_selfdual_two_forms():
     # on two-forms the involution swaps the coordinate plane areas, so the
     # self-dual / anti-self-dual combinations are their sum and difference
-    mod = exterior_module(4, "parity")
-    gamma = chirality(4, mod)
+    gamma = exterior_module(4, "chirality").grading
     omega1 = basis_vec(0b0011, 4)
     omega2 = basis_vec(0b1100, 4)
     assert np.allclose(gamma @ omega1, omega2, atol=1e-12)

@@ -9,7 +9,6 @@ from basicindex import (
     HolonomyGroup,
     NotInvariantError,
     ScenarioModel,
-    admissible_rank,
     contract_op,
     corpus_names,
     exterior_module,
@@ -326,16 +325,3 @@ def test_odd_perturbation_q5():
 def test_odd_perturbation_rejects_even_q():
     with pytest.raises(ValueError):
         odd_invertible_perturbation(exterior_module(2, "parity"))
-
-
-@pytest.mark.parametrize("k,r,expected", [
-    (1, 1, True), (3, 2, True), (3, 3, False), (4, 4, True), (5, 2, False),
-    (2, 1, True), (5, 4, True), (6, 8, True), (6, 6, False),
-])
-def test_admissible_rank(k, r, expected):
-    assert admissible_rank(k, r) is expected
-
-
-def test_admissible_rank_rejects_bad_input():
-    with pytest.raises(ValueError):
-        admissible_rank(0, 4)

@@ -8,7 +8,6 @@ from basicindex import (
     CircleModelError,
     DiscretizationError,
     FourierMatrixFunction,
-    assemble_Hs,
     carriere_preset,
     convergence_report,
     cosine_preset,
@@ -16,10 +15,10 @@ from basicindex import (
 )
 from basicindex.localization import (
     _assemble_sparse,
+    _banded_eigs,
     _converged_eigs,
+    _graded_eigs,
     find_zeros,
-    graded_low_spectrum,
-    low_spectrum,
 )
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -86,7 +85,7 @@ def test_model_validation_rejects_odd_fiber():
 
 
 def test_flat_model_spectrum():
-    h = assemble_Hs(flat_model(), 2.0, 64)
+    h = _assemble_sparse(flat_model(), 2.0, 64).toarray()
     assert np.linalg.norm(h - h.conj().T) < 1e-10
     w = np.linalg.eigvalsh(h)
     assert np.allclose(w[:7], [0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 2.0], atol=1e-10)
@@ -94,16 +93,17 @@ def test_flat_model_spectrum():
 
 
 def test_assembled_matrix_is_psd_for_carriere():
-    h = assemble_Hs(carriere_preset(), 1.0, 64)
+    h = _assemble_sparse(carriere_preset(), 1.0, 64).toarray()
     assert np.linalg.norm(h - h.conj().T) < 1e-10
     assert np.linalg.eigvalsh(h)[0] >= -1e-8 * np.linalg.norm(h)
 
 
 def test_grading_blocks_are_exact():
-    # graded_low_spectrum validates the off-block leak internally
-    plus, minus = graded_low_spectrum(cosine_preset(), 50.0, 64, 4)
+    # _graded_eigs validates the off-block leak internally
+    h = _assemble_sparse(cosine_preset(), 50.0, 64)
+    plus, minus = _graded_eigs(cosine_preset(), h, 4)
     merged = np.sort(np.concatenate([plus, minus]))
-    direct = low_spectrum(cosine_preset(), 50.0, 64, 8)
+    direct = _banded_eigs(h, 8)
     assert np.allclose(merged, direct, atol=1e-9)
 
 
@@ -114,6 +114,33 @@ def test_cosine_zeros_and_levels():
         assert np.allclose(np.sort(z.eigenvalues), [-1.0, 1.0], atol=1e-9)
     assert np.allclose(mz.levels, [0.0, 0.0, 2.0, 2.0, 2.0, 2.0])
     assert (mz.kernel_dim_plus, mz.kernel_dim_minus) == (1, 1)
+
+
+def degenerate_cosine_model(seed):
+    """cos(t) chat on C^2 (x) C^4 with grading eps (x) diag(1, 1, -1, -1), conjugated
+    by a seeded random unitary: each negative level of L = C Z'(t) is 4-fold and
+    holds two vectors of each grading sign."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    eye4 = np.eye(4)
+
+    def lift(a, b):
+        return u @ np.kron(a, b) @ u.conj().T
+
+    return CircleModel(8, lift(C2, eye4), lift(SZ, np.diag([1.0, 1.0, -1.0, -1.0])),
+                       FourierMatrixFunction.zero(8),
+                       FourierMatrixFunction.real_terms(8, cos_terms={1: lift(SX, eye4)}))
+
+
+def test_grading_count_is_basis_independent_in_degenerate_levels():
+    # sorting eigenvectors of L by the sign of <v, eps v> miscounts whenever the
+    # eigensolver returns a basis that mixes the grading blocks of one level
+    for seed in range(40):
+        mz = model_spectrum_at_zeros(degenerate_cosine_model(seed), count=4)
+        assert [(z.kernel_plus, z.kernel_minus) for z in mz.zeros] == [(2, 2), (2, 2)], seed
+        assert (mz.kernel_dim_plus, mz.kernel_dim_minus) == (4, 4)
+        assert np.allclose(mz.levels, 0.0, atol=1e-9)
 
 
 def test_no_zero_perturbation_gives_empty_model():
@@ -127,8 +154,8 @@ def test_identically_zero_perturbation_rejected():
 
 
 def test_grid_doubling_stability_at_calibration_point():
-    a = low_spectrum(cosine_preset(), 100.0, 256, 10)
-    b = low_spectrum(cosine_preset(), 100.0, 512, 10)
+    a = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 256), 10)
+    b = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 512), 10)
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -240,7 +267,7 @@ def dense_block_spectrum(name, s, n_modes, sign):
     fiber rows and the two blocks carry its whole spectrum at a quarter of the
     dense cost each."""
     model = REFERENCE_MODELS[name]()
-    h = _assemble_sparse(model, s, n_modes)  # what assemble_Hs densifies
+    h = _assemble_sparse(model, s, n_modes)
     rows = np.tile(sign * np.diag(model.grading).real > 0, 2 * n_modes + 1)
     assert h[rows][:, ~rows].count_nonzero() == 0
     return np.linalg.eigvalsh(h[rows][:, rows].toarray())
@@ -248,7 +275,8 @@ def dense_block_spectrum(name, s, n_modes, sign):
 
 @functools.lru_cache(maxsize=1)  # shared by the two sign cases of one (model, s, modes)
 def graded_spectra(name, s, n_modes):
-    return graded_low_spectrum(REFERENCE_MODELS[name](), s, n_modes, 16)
+    model = REFERENCE_MODELS[name]()
+    return _graded_eigs(model, _assemble_sparse(model, s, n_modes), 16)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -264,5 +292,5 @@ def test_low_spectrum_matches_dense_eigvalsh(name, s, n_modes):
     # have multiplicities 2 and 4
     dense = np.sort(np.concatenate([dense_block_spectrum(name, s, n_modes, sign)
                                     for sign in (1, -1)]))
-    got = low_spectrum(REFERENCE_MODELS[name](), s, n_modes, 16)
+    got = _banded_eigs(_assemble_sparse(REFERENCE_MODELS[name](), s, n_modes), 16)
     assert np.max(np.abs(got - dense[:16])) < 1e-9
