@@ -232,6 +232,10 @@ def cmd_localize(args) -> int:
     model = _load(args.scenario)
     if model.circle_model is None:
         raise ScenarioFormatError(args.scenario, "scenario has no circle_model section")
+    most = model.circle_model.fiber_dim * (2 * args.modes + 1) - 2  # Lanczos on the base grid
+    if args.jmax > most:
+        raise ScenarioFormatError("--jmax", f"{args.jmax} exceeds {most}, the most eigenvalues "
+                                  f"--modes {args.modes} resolves")
     report = convergence_report(model.circle_model, args.s, args.jmax, args.modes)
     payload = {
         "rows": [{"s": r.s, "modes": r.n_modes, "eigenvalues": r.eigenvalues.tolist(),

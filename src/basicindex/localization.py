@@ -16,8 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import hermitian_eig
-from .model_operator import oscillator_levels
+from .cliff import explicit_module
+from .holonomy import HolonomyGroup
+from .linalg import LinalgError, hermitian_eig
+from .local_index import ClosureDatum, ClosureValidationError
+from .model_operator import analytic_spectrum
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -152,25 +155,18 @@ class CircleModel:
         f, tol = self.fiber_dim, 1e-9  # the bound of every structural check below
         if f % 2:
             raise CircleModelError("fiber_dim must be even")
-        eye = np.eye(f)
-        c = self.symbol
-        if c.shape != (f, f) or self.grading.shape != (f, f):
-            raise CircleModelError("symbol/grading shapes do not match fiber_dim")
-        if np.linalg.norm(c + c.conj().T) > tol:
-            raise CircleModelError("symbol is not skew-Hermitian")
-        if np.linalg.norm(c @ c + eye) > tol:
-            raise CircleModelError("symbol does not square to -I")
-        eps = self.grading
-        if np.linalg.norm(eps - eps.conj().T) > tol or np.linalg.norm(eps @ eps - eye) > tol:
-            raise CircleModelError("grading is not a Hermitian involution")
-        if np.linalg.norm(c @ eps + eps @ c) > tol:
-            raise CircleModelError("symbol does not anticommute with the grading")
+        module = explicit_module([self.symbol], self.grading)
+        problems = module.validate(tol) if module.dim == f else [f"symbol is not {f} x {f}"]
+        if problems:
+            raise CircleModelError("symbol and grading are not a graded Clifford module: "
+                                   + "; ".join(problems))
         if self.drift.hermitian_defect() > tol:
             raise CircleModelError(
                 "drift is not Hermitian-valued; a c(kappa)-type skew drift makes "
                 "(1/s)(D)^2 non-Hermitian — supply the i-rotated Hermitian form instead")
         if self.perturbation.hermitian_defect() > tol:
             raise CircleModelError("perturbation is not Hermitian-valued")
+        c, eps = self.symbol, self.grading
         for k, mat in self.perturbation.coeffs:
             if np.linalg.norm(eps @ mat + mat @ eps) > tol:
                 raise CircleModelError(f"perturbation harmonic {k} is not grading-odd")
@@ -230,14 +226,14 @@ def _shifted_factor(h: sparse.csr_matrix) -> tuple[float, Array]:
     diagonal entry (an upper bound of the bottom) wide.  A failed
     factorization at -SHIFT raises DiscretizationError.
     """
+    from scipy import sparse
     from scipy.linalg import LinAlgError, cholesky_banded
 
     n = h.shape[0]
-    rows = np.flatnonzero(np.diff(h.indptr))  # h is Hermitian: the leftmost column sets the band
-    bandwidth = int(np.max(rows - np.minimum.reduceat(h.indices, h.indptr[rows]), initial=0))
-    ab = np.zeros((bandwidth + 1, n), dtype=complex)  # lower band form: ab[i - j, j] = h[i, j]
-    for i in range(bandwidth + 1):
-        ab[i, : n - i] = h.diagonal(-i)
+    lower = sparse.tril(h, format="coo")  # h is Hermitian: its lower triangle sets the band
+    offset = lower.row - lower.col
+    ab = np.zeros((int(np.max(offset, initial=0)) + 1, n), dtype=complex)
+    ab[offset, lower.col] = lower.data  # lower band form: ab[i - j, j] = h[i, j]
 
     def factor(sigma: float, band: Array) -> Array:
         band[0] -= sigma
@@ -269,7 +265,7 @@ def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
     iteration is one banded solve in O(n kd).  The start vector is generic
     but fixed, so results are deterministic; a structured start such as all
     ones can miss members of multiple levels.  A failed factorization or
-    iteration raises DiscretizationError.
+    iteration raises DiscretizationError, as does a count above n - 2.
     """
     from scipy.linalg import cho_solve_banded
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -279,7 +275,8 @@ def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
     inverse = LinearOperator((n, n), dtype=complex, matvec=lambda x: cho_solve_banded(
         (chol, True), x, check_finite=False))
     start = np.random.default_rng(START_SEED).standard_normal(2 * n).view(complex)
-    count = min(count, n - 2)  # ARPACK needs count < n - 1
+    if count > n - 2:  # ARPACK needs count < n - 1
+        raise DiscretizationError(f"{count} eigenvalues asked of {n} rows; raise --modes")
     try:
         w = eigsh(h, k=count, sigma=sigma, OPinv=inverse, v0=start,
                   return_eigenvectors=False)
@@ -313,10 +310,10 @@ def _graded_eigs(model: CircleModel, h: sparse.csr_matrix, count: int) -> tuple[
 
 @dataclass(frozen=True)
 class ZeroData:
-    """Linearization at one simple zero of the perturbation."""
+    """Linearization at one zero of the perturbation, analysed as an m = 1 closure."""
 
     t: float
-    eigenvalues: Array  # of L = C Z'(t)
+    eigenvalues: Array  # of L = C Z'(t), ascending
     kernel_plus: int  # negative eigenvalues of L on the +1 grading block
     kernel_minus: int
 
@@ -330,10 +327,10 @@ class ModelAtZeros:
 
     @property
     def smallest_positive(self) -> float:
-        positive = self.levels[self.levels > 1e-9]
-        if positive.size == 0:
+        # exact: the levels at lam are |lam|(2n+1) + lam, so the least positive is 2 min |lam|
+        if not self.zeros:
             raise CircleModelError("model spectrum has no positive levels")
-        return float(positive[0])
+        return 2.0 * min(float(np.min(np.abs(zd.eigenvalues))) for zd in self.zeros)
 
 
 def find_zeros(z: FourierMatrixFunction) -> list[float]:
@@ -376,33 +373,28 @@ def find_zeros(z: FourierMatrixFunction) -> list[float]:
 def model_spectrum_at_zeros(model: CircleModel, count: int = 32) -> ModelAtZeros:
     """Merged oscillator spectra of the local models at the zeros of Z.
 
-    At a simple zero t_i the local model is -d^2 + L + x^2 L^2 with
-    L = C Z'(t_i); level sums are merged over the zero's eigenvalues and over
-    all zeros, sorted ascending.  Raises for identically-zero Z and for
-    non-simple zeros.
+    Each zero t_i is the m = 1 closure (symbol, grading; Z_1 = Z'(t_i);
+    trivial holonomy), so analytic_spectrum validates it and gives its count
+    lowest levels and route-checked graded kernel dims.  A zero that is not
+    simple fails gram_positive_definite, one where Z'(t_i)^2 is not scalar
+    fails gram_scalar, and the error names the zero.  Levels are merged over
+    all zeros, sorted ascending; identically-zero Z raises.
     """
     model.validate()
-    zeros = find_zeros(model.perturbation)
+    module = explicit_module([model.symbol], model.grading)
     dz = model.perturbation.derivative()
-    gw, gu = hermitian_eig(model.grading)
-    sides = (gu[:, gw > 0], gu[:, gw < 0])
     zero_data: list[ZeroData] = []
     merged: list[float] = []
-    for t in zeros:
-        deriv = dz(t)
-        smin = float(np.linalg.svd(deriv, compute_uv=False)[-1])
-        if smin < 1e-8:
-            raise CircleModelError(f"zero at t = {t:.6f} is not simple "
-                                   f"(derivative smallest singular value {smin:.3e})")
-        lin = model.symbol @ deriv
-        if np.linalg.norm(lin - lin.conj().T) > 1e-8 * max(1.0, np.linalg.norm(lin)):
-            raise CircleModelError(f"linearization at t = {t:.6f} is not Hermitian")
-        w = hermitian_eig(lin)[0]
-        # L is even, so it is block diagonal on the grading eigenspaces: count per block
-        kp, km = (int(np.sum(np.linalg.eigvalsh(u.conj().T @ lin @ u) < 0.0)) for u in sides)
-        for lam in w:
-            merged.extend(oscillator_levels(float(lam), count))
-        zero_data.append(ZeroData(t=t, eigenvalues=w, kernel_plus=kp, kernel_minus=km))
+    for t in find_zeros(model.perturbation):
+        d = ClosureDatum(f"zero at t = {t:.6f}", module, (dz(t),), HolonomyGroup.trivial_group(1))
+        try:
+            spec = analytic_spectrum(d, count)
+        except (ClosureValidationError, LinalgError) as exc:
+            raise type(exc)(f"{d.name}: {exc}") from exc
+        lam = np.sort([b.eigentuple[0] for b in spec.blocks for _ in range(b.multiplicity)])
+        merged.extend(spec.eigenvalues)
+        zero_data.append(ZeroData(t=t, eigenvalues=lam, kernel_plus=spec.kernel_dim_plus,
+                                  kernel_minus=spec.kernel_dim_minus))
     merged.sort()
     return ModelAtZeros(
         zeros=tuple(zero_data),
@@ -524,17 +516,19 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
     gap(s) <= C s^(-1/5) from the fit point on (the localization bound is
     asymptotic, so smaller s are reported but not bound-checked).  The
     spectral index counts graded eigenvalues below half the smallest positive
-    model level.  With invertible (zero-free) Z: fits c = min lambda_1(s)/s
-    and checks c > 0.
+    model level.  The lowest max(j_max, kp + km + 1) levels are compared, so at
+    least one positive level is.  With invertible (zero-free) Z: fits
+    c = min lambda_1(s)/s and checks c > 0.
     """
     if len(s_list) < 3 or any(b <= a for a, b in zip(s_list, s_list[1:])):
         raise CircleModelError("s_list must be increasing with at least 3 entries")
-    model.validate()
-    at_zeros = model_spectrum_at_zeros(model, count=max(j_max, 8))
-    zero_free = len(at_zeros.zeros) == 0
+    at_zeros = model_spectrum_at_zeros(model, count=j_max)
     rows: list[SweepRow] = []
-    if not zero_free:
-        mu = at_zeros.levels[:j_max]
+    if at_zeros.zeros:
+        # the kp + km kernel levels are exactly 0, and the next one is smallest_positive
+        kernel = at_zeros.kernel_dim_plus + at_zeros.kernel_dim_minus
+        mu = at_zeros.levels if j_max > kernel else \
+            np.append(np.zeros(kernel), at_zeros.smallest_positive)
         threshold = 0.5 * at_zeros.smallest_positive
         rows = [_model_row(model, s, n_modes, mu, threshold) for s in s_list]
         gaps = [r.gap for r in rows]
@@ -543,7 +537,7 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
         fitted = gaps[1] * fit_point**0.2
         bound_ok = all(r.gap <= fitted * r.s**-0.2 * (1.0 + 1e-9)
                        for r in rows if r.s >= fit_point)
-        return ConvergenceReport(tuple(rows), at_zeros.levels[:j_max], fitted, fit_point,
+        return ConvergenceReport(tuple(rows), mu, fitted, fit_point,
                                  monotone, bound_ok, None, None)
     for s in s_list:
         low, used = _converged_eigs(model, s, n_modes, j_max)[:2]

@@ -133,6 +133,44 @@ def test_localize_without_circle_model(capsys):
     assert main(["localize", "sphere_suspension"]) == 2
 
 
+def circle_doc(harmonic, cos):
+    """A circle-lab scenario with Z = cos(harmonic t) cos on the 2-dim fiber of
+    cosine_localization."""
+    doc = raw_corpus_doc("cosine_localization")
+    doc["circle_model"]["perturbation"]["terms"] = [{"harmonic": harmonic, "cos": cos}]
+    return doc
+
+
+def test_localize_compares_a_positive_level(tmp_path):
+    # cos(3 t) chat has 6 zeros, so the default 4 compared levels would all be
+    # kernel levels with round-off gaps; the first positive level is compared too
+    path = write_scenario(tmp_path, circle_doc(3, [[0.0, 1.0], [1.0, 0.0]]))
+    code, out, err = run_quiet(["localize", path, "--format", "json"])
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert all(r["spectral_index"] == 0 and len(r["eigenvalues"]) == 7 for r in rows)
+
+
+def test_linearization_defect_names_the_zero(tmp_path):
+    # chat + 2 delta sigma_y passes the circle model's per-harmonic checks, but at
+    # each zero Z' fails its own closure validation, which names the zero
+    delta = 3e-10
+    path = write_scenario(tmp_path, circle_doc(1, [[0.0, [1.0, -2 * delta]],
+                                                   [[1.0, 2 * delta], 0.0]]))
+    code, _, err = run_quiet(["localize", path])
+    assert code == 1
+    assert err.startswith("check failed: zero at t = 1.570796: closure data failed validation")
+    assert "[FAIL] clifford_form_diagonal_anticommutation" in err
+
+
+@pytest.mark.parametrize("extra", [["--jmax", "1000"], ["--modes", "64", "--jmax", "257"]])
+def test_jmax_beyond_the_grid_is_input_error(extra):
+    # the base grid has fiber_dim (2 modes + 1) rows, and Lanczos resolves 2 fewer
+    code, out, err = run_quiet(["localize", "cosine_localization"] + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: --jmax: ") and "--modes" in err
+
+
 def test_list_examples(capsys):
     assert main(["list-examples"]) == 0
     out = capsys.readouterr().out
@@ -389,6 +427,27 @@ def test_exit_code_contract_on_mutated_corpus(tmp_path, name):
                 assert code == 2, (key_path, value, command, err)
         count += 1
     assert count >= len(SCALAR_MUTATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(basicindex.corpus_names()))
+def test_exit_code_contract_on_truncated_corpus(tmp_path, name):
+    text = (resources.files("basicindex") / "corpus" / f"{name}.json").read_text()
+    path = str(tmp_path / "truncated.json")
+    cuts = 0
+    for offset in sorted({len(text) * k // 13 for k in range(13)} | {len(text) - 1}):
+        try:
+            json.loads(text[:offset])
+            assert not text[offset:].strip()  # only trailing whitespace was dropped
+            continue
+        except json.JSONDecodeError:
+            pass
+        Path(path).write_text(text[:offset])
+        for argv in (["index"], ["validate"], ["model-check"], ["spectrum", "--closure", "x"],
+                     ["localize"]):
+            code, _, err = run_quiet(argv[:1] + [path] + argv[1:])  # nothing may escape
+            assert code == 2, (offset, argv, err)
+        cuts += 1
+    assert cuts >= 12
 
 
 # --- one L-contract gate ---

@@ -6,6 +6,7 @@ import pytest
 from basicindex import (
     CircleModel,
     CircleModelError,
+    ClosureValidationError,
     DiscretizationError,
     FourierMatrixFunction,
     carriere_preset,
@@ -143,6 +144,43 @@ def test_grading_count_is_basis_independent_in_degenerate_levels():
         assert np.allclose(mz.levels, 0.0, atol=1e-9)
 
 
+def test_symbol_is_checked_as_a_clifford_module():
+    with pytest.raises(CircleModelError, match="Clifford relation"):
+        CircleModel(2, 2.0 * C2, SZ, FourierMatrixFunction.zero(2),
+                    FourierMatrixFunction.zero(2)).validate()
+
+
+def test_zero_with_non_scalar_square_is_rejected():
+    # on a 4-dim fiber Z'(t)^2 need not be a multiple of I; each zero is an
+    # m = 1 closure, so it fails gram_scalar as a closure would
+    eye2 = np.eye(2)
+    model = CircleModel(4, np.kron(C2, eye2), np.kron(SZ, eye2), FourierMatrixFunction.zero(4),
+                        FourierMatrixFunction.real_terms(
+                            4, cos_terms={1: np.kron(SX, np.diag([1.0, 2.0]))}))
+    model.validate()
+    with pytest.raises(ClosureValidationError, match="zero at t = 1.570796") as info:
+        model_spectrum_at_zeros(model, count=4)
+    assert "[FAIL] gram_scalar" in str(info.value)
+
+
+def test_non_simple_zero_fails_gram_positive_definite():
+    z = FourierMatrixFunction.real_terms(2, cos_terms={0: SX, 1: -SX})  # (1 - cos t) chat
+    model = CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2), z)
+    with pytest.raises(ClosureValidationError, match="zero at t = 0.000000") as info:
+        model_spectrum_at_zeros(model, count=4)
+    assert "[FAIL] gram_positive_definite" in str(info.value)
+
+
+def test_smallest_positive_level_is_exact_with_many_zeros():
+    # cos(4 t) chat has 8 zeros and 8 kernel levels, so the 8 lowest levels are all 0;
+    # the least positive level is still 2 min |lambda| = 8
+    model = CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2),
+                        FourierMatrixFunction.real_terms(2, cos_terms={4: SX}))
+    mz = model_spectrum_at_zeros(model, count=8)
+    assert np.allclose(mz.levels, 0.0)
+    assert mz.smallest_positive == 8.0
+
+
 def test_no_zero_perturbation_gives_empty_model():
     mz = model_spectrum_at_zeros(constant_z_model(), count=4)
     assert mz.zeros == () and mz.levels.size == 0
@@ -178,6 +216,12 @@ def test_constant_z_grows_linearly():
     rep = convergence_report(constant_z_model(), [10.0, 100.0, 1000.0], 4, 64)
     assert rep.growth_ok and rep.growth_constant > 0.5
     assert rep.model_levels is None
+
+
+def test_banded_eigs_rejects_a_count_lanczos_cannot_resolve():
+    h = _assemble_sparse(cosine_preset(), 10.0, 64)
+    with pytest.raises(DiscretizationError, match="raise --modes"):
+        _banded_eigs(h, h.shape[0] - 1)
 
 
 def test_unresolvable_discretization_errors_out():
