@@ -239,7 +239,9 @@ def cmd_localize(args) -> int:
     report = convergence_report(model.circle_model, args.s, args.jmax, args.modes)
     payload = {
         "rows": [{"s": r.s, "modes": r.n_modes, "eigenvalues": r.eigenvalues.tolist(),
-                  "gap": r.gap, "spectral_index": r.spectral_index} for r in report.rows],
+                  "gap": r.gap, "spectral_index": r.spectral_index,
+                  "kernel_plus": r.kernel_plus, "kernel_minus": r.kernel_minus}
+                 for r in report.rows],
         "fitted_constant": report.fitted_constant,
         "monotone_tail": report.monotone_tail,
         "rate_bound_ok": report.rate_bound_ok,

@@ -88,8 +88,10 @@ class ClosureValidation:
         return tuple(c for c in self.checks if c.severity == "hard" and not c.passed)
 
     def summary(self) -> str:
+        """One line per check; failed hard checks come last, where a reader of stderr looks."""
         lines = [f"closure {self.closure}: " + ("PASS" if self.passed else "FAIL")]
-        for c in self.checks:
+        failed = self.failures()
+        for c in sorted(self.checks, key=lambda c: c in failed):
             status = "ok" if c.passed else ("WARN" if c.severity == "warning" else "FAIL")
             lines.append(f"  [{status}] {c.name}: max violation {c.max_violation:.12g}"
                          + (f" ({c.note})" if c.note else ""))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cliff import explicit_module
 from .holonomy import HolonomyGroup
-from .linalg import LinalgError, hermitian_eig
+from .linalg import LinalgError
 from .local_index import ClosureDatum, ClosureValidationError
 from .model_operator import analytic_spectrum
 
@@ -28,10 +28,11 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 MIN_MODES = 64  # smallest Galerkin truncation n_modes that assembly accepts
-STABILITY_TOL = 1e-8  # grid-doubling gate, also the graded/full agreement bound
+STABILITY_TOL = 1e-8  # grid-doubling gate; times max |H_s|, the Lanczos certificate's cluster width
 SHIFT = 1e-2  # H_s is positive semidefinite, so H_s + SHIFT I is positive definite
 SHIFT_RTOL = 1e-8  # relative bracket width at which a raised shift stops bisecting
 START_SEED = 0  # seed of the fixed generic Lanczos start vector
+LANCZOS_MAXITER = 100  # restarts before Lanczos stops and its converged values are certified
 
 
 class CircleModelError(ValueError):
@@ -257,55 +258,109 @@ def _shifted_factor(h: sparse.csr_matrix) -> tuple[float, Array]:
     return low, chol
 
 
+def _inertia(h: sparse.spmatrix, mu: float) -> int:
+    """Number of eigenvalues of the Hermitian banded h below mu (Sylvester's law of inertia).
+
+    Without pivoting, the LU factors of h - mu I are L D L^H with U = D L^H, so
+    the negative real parts of diag(U) count the eigenvalues below mu.  A
+    factorization that pivots (or hits an exact zero pivot) raises
+    DiscretizationError.  The count is reliable only with mu away from the
+    spectrum: next to an m-fold level the last m pivots are about
+    lambda - mu, and rounding grows with their inverses.  At 1e-8 above a
+    16-fold level (Z = cos(4 t) chat, s = 100, max |h| = 204) it missed 2
+    of 16, so _banded_eigs counts STABILITY_TOL max |h| above its values.
+    relax = panel_size = 1 keep SuperLU's supernodes narrow: with its
+    defaults the localize_sweep benchmark peaked at 84.5 MB RSS against
+    76.6 MB (2-core Xeon, 1-thread BLAS).
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    n = h.shape[0]
+    try:
+        lu = splu((h - mu * sparse.identity(n, format="csc")).tocsc(), permc_spec="NATURAL",
+                  diag_pivot_thresh=0, options={"SymmetricMode": True}, relax=1, panel_size=1)
+    except RuntimeError as exc:  # an exactly singular factor
+        raise DiscretizationError(f"inertia of H_s - {mu:g} I on {n} rows: {exc}") from None
+    identity = np.arange(n)
+    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+        raise DiscretizationError(f"inertia of H_s - {mu:g} I on {n} rows: the factorization "
+                                  "pivoted")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _cluster_count(h: sparse.spmatrix, k: int, low: float, width: float) -> int:
+    """Eigenvalues of h up to width above its k-th lowest, which lies above low.
+
+    The k-th eigenvalue is bracketed by inertia counts (fewer than k below
+    low, at least k below high) and bisected to width.
+    """
+    high = 2.0 * abs(low) + 1.0
+    while _inertia(h, high) < k:
+        low, high = high, 2.0 * high
+    while high - low > width:
+        mid = 0.5 * (low + high)
+        if _inertia(h, mid) < k:
+            low = mid
+        else:
+            high = mid
+    return _inertia(h, high + width)
+
+
 def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
-    """Lowest count eigenvalues of the banded positive semidefinite h, ascending.
+    """Lowest count eigenvalues of the banded positive semidefinite h, ascending, certified.
 
     Shift-invert Lanczos about a shift below the spectrum (_shifted_factor):
     h - sigma I is factored by banded Cholesky in O(n kd^2), and each
     iteration is one banded solve in O(n kd).  The start vector is generic
     but fixed, so results are deterministic; a structured start such as all
-    ones can miss members of multiple levels.  A failed factorization or
-    iteration raises DiscretizationError, as does a count above n - 2.
+    ones can miss members of multiple levels.  Every solve is certified by
+    _inertia: with w the values Lanczos returned (its converged ones if it
+    stops at LANCZOS_MAXITER), the count of eigenvalues below w[-1] + width
+    must equal the number solved for, where width = STABILITY_TOL max |h|
+    is the cluster width.  A count above the request means the solve ended
+    inside a cluster, and it is repeated with that count, so a missed copy
+    of a multiple level cannot go unseen.  A solve that stalls short of
+    such a cluster is widened to the cluster around its count-th eigenvalue
+    (_cluster_count).  A failed factorization, iteration or certificate
+    raises DiscretizationError, as does a count above n - 2.
     """
     from scipy.linalg import cho_solve_banded
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     n = h.shape[0]
     sigma, chol = _shifted_factor(h)
     inverse = LinearOperator((n, n), dtype=complex, matvec=lambda x: cho_solve_banded(
         (chol, True), x, check_finite=False))
     start = np.random.default_rng(START_SEED).standard_normal(2 * n).view(complex)
-    if count > n - 2:  # ARPACK needs count < n - 1
-        raise DiscretizationError(f"{count} eigenvalues asked of {n} rows; raise --modes")
-    try:
-        w = eigsh(h, k=count, sigma=sigma, OPinv=inverse, v0=start,
-                  return_eigenvectors=False)
-    except ArpackError as exc:
-        raise DiscretizationError(f"shift-invert Lanczos failed on {n} rows: {exc}") from None
-    return np.sort(w.real)
-
-
-def _graded_eigs(model: CircleModel, h: sparse.csr_matrix, count: int) -> tuple[Array, Array]:
-    """Lowest eigenvalues of the assembled h on the +1 and -1 grading blocks.
-
-    h commutes with the induced grading on modes; the off-block leak is
-    checked (< 1e-10 relative) before the two blocks are solved separately.
-    """
-    from scipy import sparse
-
-    w, u = hermitian_eig(model.grading)
-    m = h.shape[0] // model.fiber_dim
-    transform = sparse.kron(sparse.eye(m), sparse.csr_matrix(u)).tocsr()
-    hb = (transform.conj().T @ h @ transform).tocsr()
-    fiber_sign = w > 0
-    mask_plus = np.tile(fiber_sign, m)
-    scale = max(1.0, float(np.max(np.abs(hb.data)))) if hb.nnz else 1.0
-    leak = hb[np.ix_(np.where(mask_plus)[0], np.where(~mask_plus)[0])]
-    if leak.nnz and float(np.max(np.abs(leak.data))) > 1e-10 * scale:
-        raise CircleModelError("H_s does not commute with the induced grading")
-    blocks = [hb[mask][:, mask] for mask in (mask_plus, ~mask_plus)]
-    del hb  # released before the block solves
-    return _banded_eigs(blocks[0], count), _banded_eigs(blocks[1], count)
+    width = STABILITY_TOL * max(1.0, float(np.max(np.abs(h.data))))
+    solve = count
+    while True:
+        if solve > n - 2:  # ARPACK needs k < n - 1
+            raise DiscretizationError(f"{solve} eigenvalues asked of {n} rows; raise --modes")
+        stalled = False
+        try:
+            w = eigsh(h, k=solve, sigma=sigma, OPinv=inverse, v0=start, maxiter=LANCZOS_MAXITER,
+                      return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            w, stalled = exc.eigenvalues, True
+        except ArpackError as exc:
+            raise DiscretizationError(f"shift-invert Lanczos failed on {n} rows: {exc}") from None
+        w = np.sort(np.asarray(w).real)
+        if w.size == 0:
+            raise DiscretizationError(f"shift-invert Lanczos converged to no eigenvalue "
+                                      f"on {n} rows")
+        below = _inertia(h, float(w[-1]) + width)
+        if stalled and below < solve:  # the cluster that stalled Lanczos lies above w
+            below = _cluster_count(h, solve, float(w[-1]) + width, width)
+        if below <= solve:
+            break
+        solve = below
+    if below != solve or w.size != solve:
+        raise DiscretizationError(
+            f"{below} eigenvalues lie below {w[-1] + width:.12g} on {n} rows, "
+            f"but Lanczos returned {w.size} of the {solve} asked; an eigenvalue was missed")
+    return w[:count]
 
 
 @dataclass(frozen=True)
@@ -410,7 +465,9 @@ class SweepRow:
     n_modes: int
     eigenvalues: Array
     gap: float | None  # max_j |lambda_j(s) - mu_j| when the model has zeros
-    spectral_index: int | None
+    spectral_index: int | None  # kernel_plus - kernel_minus
+    kernel_plus: int | None  # eigenvalues below the threshold on the +1 grading block
+    kernel_minus: int | None
 
 
 @dataclass(frozen=True)
@@ -474,27 +531,38 @@ def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int
 
 def _graded_kernel_counts(model: CircleModel, h: sparse.csr_matrix, full: Array,
                           threshold: float) -> tuple[int, int]:
-    """Count eigenvalues of h below threshold per grading block of the mode space.
+    """Exact counts of eigenvalues of h below threshold on the +1 and -1 grading blocks.
 
-    full holds the lowest eigenvalues of h.  The merged block spectra must
-    reproduce them to STABILITY_TOL: an eigenvalue that Lanczos missed in a
-    block would otherwise change the spectral index silently.
+    h commutes with G, the grading induced on modes (checked to 1e-10
+    relative), and is positive semidefinite, so h + K (I -/+ G) / 2 with
+    K = 2 threshold keeps one block and lifts the other above threshold: the
+    inertia of each at threshold is that block's count.  full holds the
+    certified lowest eigenvalues of h, and the two counts must add up to its
+    count below threshold.
     """
-    probe = max(16, model.fiber_dim)
-    plus, minus = _graded_eigs(model, h, probe)
-    shared = min(full.size, probe)  # each block holds its probe lowest, so these are exact
-    merged = np.sort(np.concatenate([plus, minus]))[:shared]
-    mismatch = float(np.max(np.abs(merged - full[:shared])))
-    if mismatch > STABILITY_TOL:
+    from scipy import sparse
+
+    n = h.shape[0]
+    g = sparse.kron(sparse.identity(n // model.fiber_dim),
+                    sparse.csr_matrix(model.grading)).tocsr()
+    scale = max(1.0, float(np.max(np.abs(h.data))))
+    leak = (h @ g - g @ h).tocsr()
+    if leak.nnz and float(np.max(np.abs(leak.data))) > 1e-10 * scale:
+        raise CircleModelError("H_s does not commute with the induced grading")
+    lift = threshold * sparse.identity(n, format="csr")  # K (I -/+ G) / 2 = threshold (I -/+ G)
+    kp = _inertia(h + lift - threshold * g, threshold)
+    km = _inertia(h + lift + threshold * g, threshold)
+    below = int(np.count_nonzero(full < threshold))
+    if kp + km != below:
         raise DiscretizationError(
-            f"graded and full low spectra differ by {mismatch:.3e} on {h.shape[0]} rows; "
-            "an eigenvalue was missed")
-    return int(np.sum(plus < threshold)), int(np.sum(minus < threshold))
+            f"grading blocks hold {kp} + {km} eigenvalues below {threshold:.12g} on {n} rows, "
+            f"but {below} certified eigenvalues lie there")
+    return kp, km
 
 
 def _model_row(model: CircleModel, s: float, n_modes: int, mu: Array,
                threshold: float) -> SweepRow:
-    """Sweep row at s for Z with zeros: gap to the model levels mu and spectral index.
+    """Sweep row at s for Z with zeros: gap to the model levels mu and graded counts.
 
     Both come from the one operator that grid doubling accepted, which is
     released on return.
@@ -503,7 +571,7 @@ def _model_row(model: CircleModel, s: float, n_modes: int, mu: Array,
     eigs = low[: mu.size]
     kp, km = _graded_kernel_counts(model, h, low, threshold)
     return SweepRow(s=s, n_modes=used, eigenvalues=eigs, gap=float(np.max(np.abs(eigs - mu))),
-                    spectral_index=kp - km)
+                    spectral_index=kp - km, kernel_plus=kp, kernel_minus=km)
 
 
 def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
@@ -514,11 +582,14 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
     requires the gap sequence to decrease over the last three s values, fits
     C = gap(s_fit) s_fit^(1/5) at the second sweep point, and checks
     gap(s) <= C s^(-1/5) from the fit point on (the localization bound is
-    asymptotic, so smaller s are reported but not bound-checked).  The
-    spectral index counts graded eigenvalues below half the smallest positive
-    model level.  The lowest max(j_max, kp + km + 1) levels are compared, so at
-    least one positive level is.  With invertible (zero-free) Z: fits
-    c = min lambda_1(s)/s and checks c > 0.
+    asymptotic, so smaller s are reported but not bound-checked).  Each row
+    counts the eigenvalues below half the smallest positive model level on
+    the two grading blocks (kernel_plus, kernel_minus; their difference is
+    the spectral index), and from the fit point on they must equal the
+    zeros' summed graded kernel dims, else DiscretizationError.  The lowest
+    max(j_max, kp + km + 1) levels are compared, so at least one positive
+    level is.  With invertible (zero-free) Z: fits c = min lambda_1(s)/s and
+    checks c > 0.
     """
     if len(s_list) < 3 or any(b <= a for a, b in zip(s_list, s_list[1:])):
         raise CircleModelError("s_list must be increasing with at least 3 entries")
@@ -531,9 +602,15 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
             np.append(np.zeros(kernel), at_zeros.smallest_positive)
         threshold = 0.5 * at_zeros.smallest_positive
         rows = [_model_row(model, s, n_modes, mu, threshold) for s in s_list]
+        fit_point = s_list[1]
+        expected = (at_zeros.kernel_dim_plus, at_zeros.kernel_dim_minus)
+        for r in rows:
+            if r.s >= fit_point and (r.kernel_plus, r.kernel_minus) != expected:
+                raise DiscretizationError(
+                    f"grading blocks hold ({r.kernel_plus}, {r.kernel_minus}) eigenvalues below "
+                    f"{threshold:.12g} at s = {r.s:g}, but the zeros' kernel dims are {expected}")
         gaps = [r.gap for r in rows]
         monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 3, len(gaps) - 1))
-        fit_point = s_list[1]
         fitted = gaps[1] * fit_point**0.2
         bound_ok = all(r.gap <= fitted * r.s**-0.2 * (1.0 + 1e-9)
                        for r in rows if r.s >= fit_point)
@@ -542,7 +619,7 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
     for s in s_list:
         low, used = _converged_eigs(model, s, n_modes, j_max)[:2]
         rows.append(SweepRow(s=s, n_modes=used, eigenvalues=low[:j_max], gap=None,
-                             spectral_index=None))
+                             spectral_index=None, kernel_plus=None, kernel_minus=None))
     growth = min(float(r.eigenvalues[0]) / r.s for r in rows)
     return ConvergenceReport(tuple(rows), None, None, None, None, None,
                              growth, growth > 0.0)

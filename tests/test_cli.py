@@ -151,6 +151,33 @@ def test_localize_compares_a_positive_level(tmp_path):
     assert all(r["spectral_index"] == 0 and len(r["eigenvalues"]) == 7 for r in rows)
 
 
+@pytest.mark.parametrize("harmonic", [2, 4])
+def test_localize_counts_each_grading_block(tmp_path, harmonic):
+    # cos(2 t) chat: the 10-eigenvalue solve at s = 10 ends inside a 4-fold level at
+    # 3.7806, where Lanczos returns 3 of its 4 copies on every grid.  cos(4 t) chat:
+    # the certificate counts right above a 16-fold level at s = 100
+    path = write_scenario(tmp_path, circle_doc(harmonic, [[0.0, 1.0], [1.0, 0.0]]))
+    code, out, err = run_quiet(["localize", path, "--format", "json"])
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [(r["kernel_plus"], r["kernel_minus"]) for r in rows] == [(harmonic, harmonic)] * 3
+
+
+@pytest.mark.parametrize("extra", [[], ["--jmax", "12"]])
+def test_localize_single_thread_blas_certifies_clusters(tmp_path, extra):
+    # with 1-thread BLAS the 10-eigenvalue solve at s = 1000 ends inside the 12-fold
+    # level at 5.9955 of cos(3 t) chat, and Lanczos stops short of it
+    path = write_scenario(tmp_path, circle_doc(3, [[0.0, 1.0], [1.0, 0.0]]))
+    src = str(Path(basicindex.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "basicindex.cli", "localize", path,
+                           "--format", "json"] + extra, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)["rows"]
+    assert [(r["kernel_plus"], r["kernel_minus"]) for r in rows] == [(3, 3)] * 3
+
+
 def test_linearization_defect_names_the_zero(tmp_path):
     # chat + 2 delta sigma_y passes the circle model's per-harmonic checks, but at
     # each zero Z' fails its own closure validation, which names the zero
@@ -161,6 +188,7 @@ def test_linearization_defect_names_the_zero(tmp_path):
     assert code == 1
     assert err.startswith("check failed: zero at t = 1.570796: closure data failed validation")
     assert "[FAIL] clifford_form_diagonal_anticommutation" in err
+    assert err.rstrip().splitlines()[-1].startswith("  [FAIL] ")
 
 
 @pytest.mark.parametrize("extra", [["--jmax", "1000"], ["--modes", "64", "--jmax", "257"]])
@@ -245,14 +273,40 @@ def _raise(exc):
     return fail
 
 
-def _drop_lowest_plus_level(graded):
-    def patched(model, h, count):
-        plus, minus = graded(model, h, count)
-        return plus[1:], minus
+def _drop_one_eigenvalue(eigsh):
+    def patched(*args, **kwargs):
+        return eigsh(*args, **kwargs)[1:]
     return patched
 
 
-@pytest.mark.parametrize("fault", ["cholesky", "lanczos", "missed eigenvalue"])
+def _offset_plus_block(monkeypatch):
+    """_graded_kernel_counts whose first inertia count, the +1 block's, is one too high."""
+    graded, inertia = localization._graded_kernel_counts, localization._inertia
+
+    def patched(*args):
+        extra = iter([1])
+        monkeypatch.setattr(localization, "_inertia", lambda h, mu: inertia(h, mu) + next(extra, 0))
+        try:
+            return graded(*args)
+        finally:
+            monkeypatch.setattr(localization, "_inertia", inertia)
+    return patched
+
+
+def _offset_both_blocks(graded):
+    def patched(*args):
+        kp, km = graded(*args)
+        return kp + 1, km + 1  # the spectral index stays 0
+    return patched
+
+
+SOLVER_FAILURES = {"cholesky": "banded Cholesky", "lanczos": "Lanczos converged to no eigenvalue",
+                   "missed eigenvalue": "an eigenvalue was missed",
+                   "block inertia": "certified eigenvalues lie there",
+                   "kernel dims": "but the zeros' kernel dims are (1, 1)"}
+
+
+@pytest.mark.parametrize("fault", list(SOLVER_FAILURES))
 def test_solver_failure_is_a_check_failure(monkeypatch, capsys, fault):
     if fault == "cholesky":
         monkeypatch.setattr(scipy.linalg, "cholesky_banded",
@@ -260,12 +314,18 @@ def test_solver_failure_is_a_check_failure(monkeypatch, capsys, fault):
     elif fault == "lanczos":
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _raise(
             scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), None)))
+    elif fault == "missed eigenvalue":
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            _drop_one_eigenvalue(scipy.sparse.linalg.eigsh))
+    elif fault == "block inertia":
+        monkeypatch.setattr(localization, "_graded_kernel_counts", _offset_plus_block(monkeypatch))
     else:
-        monkeypatch.setattr(localization, "_graded_eigs",
-                            _drop_lowest_plus_level(localization._graded_eigs))
+        monkeypatch.setattr(localization, "_graded_kernel_counts",
+                            _offset_both_blocks(localization._graded_kernel_counts))
     assert main(["localize", "carriere"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("check failed:") and "Traceback" not in err
+    assert SOLVER_FAILURES[fault] in err
 
 
 def test_cli_import_leaves_out_scipy_stats_and_special():

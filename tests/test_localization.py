@@ -15,10 +15,12 @@ from basicindex import (
     model_spectrum_at_zeros,
 )
 from basicindex.localization import (
+    STABILITY_TOL,
     _assemble_sparse,
     _banded_eigs,
     _converged_eigs,
-    _graded_eigs,
+    _graded_kernel_counts,
+    _inertia,
     find_zeros,
 )
 
@@ -100,12 +102,32 @@ def test_assembled_matrix_is_psd_for_carriere():
 
 
 def test_grading_blocks_are_exact():
-    # _graded_eigs validates the off-block leak internally
-    h = _assemble_sparse(cosine_preset(), 50.0, 64)
-    plus, minus = _graded_eigs(cosine_preset(), h, 4)
-    merged = np.sort(np.concatenate([plus, minus]))
-    direct = _banded_eigs(h, 8)
-    assert np.allclose(merged, direct, atol=1e-9)
+    # inertia(H, mu) = inertia(H+, mu) + inertia(H-, mu), and each block count is exact
+    model = cosine_preset()
+    h = _assemble_sparse(model, 50.0, 64)
+    full = _banded_eigs(h, 16)
+    dense = np.linalg.eigvalsh(h.toarray())
+    rows = np.tile(np.diag(model.grading).real > 0, 2 * 64 + 1)
+    blocks = [np.linalg.eigvalsh(h[mask][:, mask].toarray()) for mask in (rows, ~rows)]
+    for mu in (0.5, 1.0, 0.5 * (full[5] + full[6]), 0.5 * (full[9] + full[10])):
+        counts = _graded_kernel_counts(model, h, full, mu)
+        assert counts == tuple(int(np.sum(b < mu)) for b in blocks), mu
+        assert sum(counts) == _inertia(h, mu) == np.sum(dense < mu), mu
+
+
+def test_inertia_next_to_a_16_fold_level():
+    # cos(4 t) chat at s = 100: 8 kernel levels, then 16 copies of 7.9187.  An
+    # unpivoted count 1e-8 above them missed 2 copies; at the certificate's
+    # cluster width above them it is exact
+    model = CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2),
+                        FourierMatrixFunction.real_terms(2, cos_terms={4: SX}))
+    h = _assemble_sparse(model, 100.0, 128)
+    dense = np.linalg.eigvalsh(h.toarray())
+    top = dense[23]
+    assert dense[8] > top - 1e-9 and dense[24] > top + 1.0
+    width = STABILITY_TOL * np.max(np.abs(h.data))
+    assert _inertia(h, top + width) == 24
+    assert _inertia(h, dense[8] - width) == 8
 
 
 def test_cosine_zeros_and_levels():
@@ -119,11 +141,13 @@ def test_cosine_zeros_and_levels():
 
 def degenerate_cosine_model(seed):
     """cos(t) chat on C^2 (x) C^4 with grading eps (x) diag(1, 1, -1, -1), conjugated
-    by a seeded random unitary: each negative level of L = C Z'(t) is 4-fold and
-    holds two vectors of each grading sign."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    by a seeded random unitary (none for seed None): each negative level of
+    L = C Z'(t) is 4-fold and holds two vectors of each grading sign."""
+    u = np.eye(8)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
     eye4 = np.eye(4)
 
     def lift(a, b):
@@ -142,6 +166,22 @@ def test_grading_count_is_basis_independent_in_degenerate_levels():
         assert [(z.kernel_plus, z.kernel_minus) for z in mz.zeros] == [(2, 2), (2, 2)], seed
         assert (mz.kernel_dim_plus, mz.kernel_dim_minus) == (4, 4)
         assert np.allclose(mz.levels, 0.0, atol=1e-9)
+
+
+def graded_counts(model, thresholds):
+    h = _assemble_sparse(model, 10.0, 64)
+    full = _banded_eigs(h, 24)  # the levels 0 and 2, 8- and 16-fold
+    return [_graded_kernel_counts(model, h, full, mu) for mu in thresholds]
+
+
+def test_graded_counts_are_basis_independent():
+    # a non-diagonal grading splits the modes by its induced G, not by fiber rows:
+    # a unitary change of fiber basis leaves every block count unchanged
+    thresholds = (1.0, 3.0)  # half the least positive level, and between levels 2 and 4
+    unrotated = graded_counts(degenerate_cosine_model(None), thresholds)
+    assert unrotated[0] == (4, 4)
+    for seed in range(3):
+        assert graded_counts(degenerate_cosine_model(seed), thresholds) == unrotated, seed
 
 
 def test_symbol_is_checked_as_a_clifford_module():
@@ -317,17 +357,23 @@ def dense_block_spectrum(name, s, n_modes, sign):
     return np.linalg.eigvalsh(h[rows][:, rows].toarray())
 
 
-@functools.lru_cache(maxsize=1)  # shared by the two sign cases of one (model, s, modes)
-def graded_spectra(name, s, n_modes):
-    model = REFERENCE_MODELS[name]()
-    return _graded_eigs(model, _assemble_sparse(model, s, n_modes), 16)
+REFERENCE_THRESHOLDS = {"flat": 0.5}  # no k^2 / s of the flat sweep sits at 0.5
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("name,s,n_modes", REFERENCE_CASES)
 def test_graded_low_spectrum_matches_dense_eigvalsh(name, s, n_modes, sign):
-    got = graded_spectra(name, s, n_modes)[0 if sign == 1 else 1]
-    assert np.max(np.abs(got - dense_block_spectrum(name, s, n_modes, sign)[:16])) < 1e-9
+    # per-block inertia at the spectral-index threshold and just above the cluster
+    # of the 16th eigenvalue, where a Lanczos solve would end
+    model = REFERENCE_MODELS[name]()
+    h = _assemble_sparse(model, s, n_modes)
+    rows = np.tile(sign * np.diag(model.grading).real > 0, 2 * n_modes + 1)
+    dense = dense_block_spectrum(name, s, n_modes, sign)
+    threshold = REFERENCE_THRESHOLDS.get(name) or \
+        0.5 * model_spectrum_at_zeros(model, count=4).smallest_positive
+    for mu in (threshold, dense[15] + STABILITY_TOL):
+        assert np.min(np.abs(dense - mu)) > 1e-10  # no eigenvalue within round-off of mu
+        assert _inertia(h[rows][:, rows], mu) == np.sum(dense < mu), mu
 
 
 @pytest.mark.parametrize("name,s,n_modes", REFERENCE_CASES)
