@@ -13,9 +13,12 @@ multiplication by dx_j, so reordering signs follow from antisymmetry
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import _adjoint_norms, _brackets, _monomial, _norms, _read_only
 
 Array = np.ndarray
 
@@ -160,36 +163,89 @@ class CliffordModule:
     exterior: ExteriorStructure | None = None
 
     def validate(self, tol: float = 1e-9) -> list[str]:
-        """Return a list of invariant violations (empty when the module is valid)."""
-        problems = []
-        if len(self.c) != self.m:
-            problems.append(f"expected {self.m} generators, found {len(self.c)}")
-        for j, cj in enumerate(self.c, start=1):
-            if cj.shape != (self.dim, self.dim):
-                problems.append(f"c_{j} has shape {cj.shape}, expected {(self.dim, self.dim)}")
-        if self.grading.shape != (self.dim, self.dim):
-            problems.append(f"grading has shape {self.grading.shape}")
+        """Return a list of invariant violations (empty when the module is valid).
+
+        When the generators and the grading all have at most one nonzero per
+        row, as every exterior module's do, the checks compose index arrays in
+        O(m^2 dim); otherwise they multiply dense matrices.  The bounds are
+        the same on both paths.
+        """
+        problems = _shape_problems(self)
         if problems:
             return problems
-        eye = np.eye(self.dim)
-        for j, cj in enumerate(self.c, start=1):
-            if np.linalg.norm(cj + cj.conj().T) > tol:
-                problems.append(f"c_{j} is not skew-Hermitian")
-        for j in range(self.m):
-            for k in range(j, self.m):
-                anti = self.c[j] @ self.c[k] + self.c[k] @ self.c[j]
-                target = -2.0 * eye if j == k else 0.0
-                if np.linalg.norm(anti - target) > tol:
-                    problems.append(f"Clifford relation fails for (c_{j + 1}, c_{k + 1})")
-        eps = self.grading
-        if np.linalg.norm(eps - eps.conj().T) > tol:
-            problems.append("grading is not Hermitian")
-        if np.linalg.norm(eps @ eps - eye) > tol:
-            problems.append("grading is not an involution")
-        for j, cj in enumerate(self.c, start=1):
-            if np.linalg.norm(eps @ cj + cj @ eps) > tol:
-                problems.append(f"c_{j} is not odd with respect to the grading")
-        return problems
+        forms = _monomial([*self.c, self.grading])
+        if forms is None:
+            return _dense_module_problems(self, tol)
+        a, b, wp, wq, lam, signs = _module_rows(self.m)
+        return _module_report(self.m, _norms(*_brackets(forms, a, b, wp, wq), lam).tolist(),
+                              _adjoint_norms(forms, signs).tolist(), tol)
+
+
+def _shape_problems(mod: CliffordModule) -> list[str]:
+    problems = []
+    if len(mod.c) != mod.m:
+        problems.append(f"expected {mod.m} generators, found {len(mod.c)}")
+    for j, cj in enumerate(mod.c, start=1):
+        if cj.shape != (mod.dim, mod.dim):
+            problems.append(f"c_{j} has shape {cj.shape}, expected {(mod.dim, mod.dim)}")
+    if mod.grading.shape != (mod.dim, mod.dim):
+        problems.append(f"grading has shape {mod.grading.shape}")
+    return problems
+
+
+@functools.lru_cache(maxsize=None)
+def _module_rows(m: int) -> tuple[Array, ...]:
+    """Rows (a, b, wp, wq, lam) of one batched sum over the stack (c_1..c_m, eps),
+    wp a b + wq b a + lam I: c_j c_k + c_k c_j + 2 delta_jk I (j <= k), then
+    eps c_j + c_j eps, then eps eps - I; and the signs of c_j + c_j^H and
+    eps - eps^H."""
+    gen, eps = np.arange(m), np.full(m, m)
+    j, k = np.triu_indices(m)
+    ones = np.ones(len(j) + m)
+    return _read_only(np.concatenate([j, eps, [m]]), np.concatenate([k, gen, [m]]),
+                      np.append(ones, 1.0), np.append(ones, 0.0),
+                      np.concatenate([np.where(j == k, 2.0, 0.0), np.zeros(m), [-1.0]]),
+                      np.append(np.ones(m), -1.0))
+
+
+def _module_report(m: int, viol: list[float], adjoint: list[float], tol: float) -> list[str]:
+    """validate's problems from the norms of _module_rows' rows (viol) and of
+    c_1 + c_1^H, ..., c_m + c_m^H, eps - eps^H (adjoint)."""
+    n = m * (m + 1) // 2
+    pairs = [(j, k) for j in range(m) for k in range(j, m)]  # np.triu_indices(m) order
+    problems = [f"c_{i + 1} is not skew-Hermitian" for i in range(m) if adjoint[i] > tol]
+    problems += [f"Clifford relation fails for (c_{j + 1}, c_{k + 1})"
+                 for (j, k), v in zip(pairs, viol) if v > tol]
+    if adjoint[m] > tol:
+        problems.append("grading is not Hermitian")
+    if viol[n + m] > tol:
+        problems.append("grading is not an involution")
+    problems += [f"c_{i + 1} is not odd with respect to the grading"
+                 for i in range(m) if viol[n + i] > tol]
+    return problems
+
+
+def _dense_module_problems(mod: CliffordModule, tol: float) -> list[str]:
+    problems = []
+    eye = np.eye(mod.dim)
+    for j, cj in enumerate(mod.c, start=1):
+        if np.linalg.norm(cj + cj.conj().T) > tol:
+            problems.append(f"c_{j} is not skew-Hermitian")
+    for j in range(mod.m):
+        for k in range(j, mod.m):
+            anti = mod.c[j] @ mod.c[k] + mod.c[k] @ mod.c[j]
+            target = -2.0 * eye if j == k else 0.0
+            if np.linalg.norm(anti - target) > tol:
+                problems.append(f"Clifford relation fails for (c_{j + 1}, c_{k + 1})")
+    eps = mod.grading
+    if np.linalg.norm(eps - eps.conj().T) > tol:
+        problems.append("grading is not Hermitian")
+    if np.linalg.norm(eps @ eps - eye) > tol:
+        problems.append("grading is not an involution")
+    for j, cj in enumerate(mod.c, start=1):
+        if np.linalg.norm(eps @ cj + cj @ eps) > tol:
+            problems.append(f"c_{j} is not odd with respect to the grading")
+    return problems
 
 
 def exterior_module(

@@ -5,11 +5,15 @@ simultaneous diagonalization of commuting Hermitian families by sequential
 refinement, orthonormal subspaces, intersections, and null spaces.  All
 functions are pure; identical inputs give identical outputs within one build
 (eigenvector phases are normalized deterministically).
+
+The private monomial form below carries the matrices of exterior modules,
+which have at most one nonzero per row, so that products cost a gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +32,104 @@ class DegenerateEigenvalueError(LinalgError):
 
 def _norm(a: Array) -> float:
     return float(np.linalg.norm(a))
+
+
+class _Monomial(NamedTuple):
+    """A stack of square matrices with at most one nonzero per row.
+
+    Row i of matrix k holds vals[k, i] at column cols[k, i] and zeros
+    elsewhere (vals[k, i] may be 0).  Products compose the index arrays, so
+    they cost O(d) per matrix and do no arithmetic on zeros: each entry is
+    the one product a dense multiplication would sum with zeros.
+    """
+
+    cols: Array  # (k, d) int
+    vals: Array  # (k, d) complex
+
+    def take(self, idx: Array) -> "_Monomial":
+        """The matrices at positions idx of the stack."""
+        return _Monomial(self.cols[idx], self.vals[idx])
+
+    def dense(self) -> Array:
+        """The (k, d, d) dense stack."""
+        k, d = self.cols.shape
+        out = np.zeros((k, d, d), dtype=complex)
+        out[np.arange(k)[:, None], np.arange(d), self.cols] = self.vals
+        return out
+
+
+def _monomial(mats) -> _Monomial | None:
+    """Monomial form of a sequence of square matrices of one shape, or None when
+    some row holds two nonzeros (one nonzero count classifies the family), the
+    sequence is empty or the shapes differ."""
+    mats = [np.asarray(a) for a in mats]
+    if not mats or mats[0].size == 0 or any(a.shape != mats[0].shape or a.ndim != 2
+                                            for a in mats):
+        return None
+    nonzero = np.array([a != 0 for a in mats])
+    if int(np.count_nonzero(nonzero, axis=-1).max()) > 1:
+        return None
+    cols = np.argmax(nonzero, axis=-1)
+    rows = np.arange(cols.shape[1])
+    return _Monomial(cols, np.array([a[rows, c] for a, c in zip(mats, cols)], dtype=complex))
+
+
+def _concat(*forms: _Monomial) -> _Monomial:
+    return _Monomial(np.concatenate([f.cols for f in forms]),
+                     np.concatenate([f.vals for f in forms]))
+
+
+def _product(base: _Monomial, a: Array, b: Array, w: Array | None = None) -> _Monomial:
+    """Row n: base[a[n]] @ base[b[n]], times w[n] when given, in one gather."""
+    at = (b[:, None], base.cols[a])
+    vals = base.vals[a] * base.vals[at]
+    return _Monomial(base.cols[at], vals if w is None else w[:, None] * vals)
+
+
+def _brackets(base: _Monomial, a: Array, b: Array, wp: Array, wq: Array
+              ) -> tuple[_Monomial, _Monomial]:
+    """Row n: wp[n] base[a[n]] @ base[b[n]] and wq[n] base[b[n]] @ base[a[n]]."""
+    return _product(base, a, b, wp), _product(base, b, a, wq)
+
+
+def _read_only(*arrays: Array) -> tuple[Array, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _row_norms(*parts: Array) -> Array:
+    """Euclidean norm of each row of the real arrays parts, joined along the last axis."""
+    x = np.concatenate(parts, axis=-1)
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+def _norms(p: _Monomial, q: _Monomial, lam: Array) -> Array:
+    """Frobenius norm of each p_n + q_n + lam[n] I.
+
+    Coincident entries are added before they are squared, in the order of
+    the dense sum (p + q) + lam I, so a sum that cancels reads exactly 0; a
+    Gram expansion of the squared norm would leave noise of ~1e-8 relative.
+    """
+    rows = np.arange(p.cols.shape[-1])
+    lam = lam[:, None]
+    pq, p_diag, q_diag = q.cols == p.cols, p.cols == rows, q.cols == rows
+    at_p = p.vals + np.where(pq, q.vals, 0.0) + np.where(p_diag, lam, 0.0)
+    at_q = np.where(pq, 0.0, q.vals + np.where(q_diag, lam, 0.0))
+    return _row_norms(at_p.view(float), at_q.view(float), np.where(p_diag | q_diag, 0.0, lam))
+
+
+def _adjoint_norms(a: _Monomial, signs: Array) -> Array:
+    """Frobenius norm of each a_k + signs[k] a_k^H, coincident entries merged.
+
+    a^H holds conj(vals[i]) at (cols[i], i); it coincides with the entry of a
+    at (i, cols[i]) exactly when cols[cols[i]] == i.
+    """
+    cols, vals = a
+    at = (np.arange(len(cols))[:, None], cols)
+    paired = cols[at] == np.arange(cols.shape[-1])
+    merged = vals + np.where(paired, signs[:, None] * vals[at].conj(), 0.0)
+    return _row_norms(merged.view(float), np.where(paired, 0.0, vals).view(float))
 
 
 def _fix_phases(v: Array) -> Array:
@@ -116,15 +218,29 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
     degenerate cluster diagonalize the restriction of the next, and so on.
     Raises LinalgError (with the worst commutator norm) for non-commuting
     input, and verifies the reconstruction of every operator afterwards.
+    When every operator is diagonal (no nonzero off the diagonal), the
+    refinement reduces to one stable sort per operator, which gives the same
+    order, eigentuples and clusters without a dense product or solve.
     """
     if not ops:
         raise LinalgError("at least one operator is required")
     mats = [np.asarray(op, dtype=complex) for op in ops]
     dim = mats[0].shape[0]
-    scales = [max(1.0, _norm(a)) for a in mats]
     for j, a in enumerate(mats):
         if a.shape != (dim, dim):
             raise LinalgError(f"operator {j} has shape {a.shape}, expected {(dim, dim)}")
+    stack = np.asarray(mats)
+    diagonals = np.diagonal(stack, axis1=1, axis2=2)
+    if np.count_nonzero(stack) == np.count_nonzero(diagonals):
+        return _diagonal_joint_eig(diagonals, tol)
+    return _refined_joint_eig(mats, tol)
+
+
+def _refined_joint_eig(mats: list[Array], tol: float) -> JointEigenstructure:
+    """joint_eig's sequential refinement, for square complex operators of one shape."""
+    dim = mats[0].shape[0]
+    scales = [max(1.0, _norm(a)) for a in mats]
+    for j, a in enumerate(mats):
         defect = _norm(a - a.conj().T)
         if defect > tol * scales[j]:
             raise LinalgError(f"operator {j} is not Hermitian (defect {defect:.3e})")
@@ -173,6 +289,50 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
             raise LinalgError(f"joint diagonalization failed to reconstruct operator {j} "
                               f"(residual {resid:.3e})")
     return JointEigenstructure(basis=basis, eigentuples=tuples, clusters=tuple(clusters))
+
+
+def _diagonal_joint_eig(diagonals: Array, tol: float) -> JointEigenstructure:
+    """joint_eig of diagonal operators, given as the rows of diagonals.
+
+    Level j of the refinement sorts each cluster by operator j, records the
+    sorted values as column j of the eigentuples, and splits the cluster
+    where consecutive values differ by more than tol * scales[j].  A stable
+    sort by (cluster, value) per operator does exactly that; as in the
+    refinement, later levels reorder vectors within a cluster but leave the
+    columns already recorded in place.
+    """
+    values = diagonals.real
+    scales = np.maximum(1.0, np.sqrt(np.sum(np.abs(diagonals) ** 2, axis=1)))
+    if diagonals.imag.any():
+        defects = 2.0 * np.sqrt(np.sum(diagonals.imag ** 2, axis=1))  # ||a - a^H||
+        if np.any(defects > tol * scales):
+            j = int(np.argmax(defects > tol * scales))
+            raise LinalgError(f"operator {j} is not Hermitian (defect {defects[j]:.3e})")
+    dim = values.shape[1]
+    order = np.arange(dim)
+    cluster = np.zeros(dim, dtype=int)
+    starts = np.ones(dim, dtype=bool)
+    tuples = np.empty((dim, len(values)))
+    for j in range(len(values)):
+        perm = np.lexsort((values[j, order], cluster))
+        order, cluster = order[perm], cluster[perm]
+        w = tuples[:, j] = values[j, order]
+        starts[1:] = (cluster[1:] != cluster[:-1]) | (np.diff(w) > tol * scales[j])
+        cluster = np.cumsum(starts)
+    # the refinement's reconstruction check: the basis is a permutation, so the
+    # residual of operator j is the distance of its values from column j, which
+    # is 0 unless a cluster chained unequal values
+    drift = values[:, order] - tuples.T
+    if drift.any():
+        resid = np.sqrt(np.sum(drift ** 2, axis=1))
+        if np.any(resid > 1e-9 * scales * max(1.0, dim)):
+            j = int(np.argmax(resid > 1e-9 * scales * max(1.0, dim)))
+            raise LinalgError(f"joint diagonalization failed to reconstruct operator {j} "
+                              f"(residual {resid[j]:.3e})")
+    bounds = np.append(np.flatnonzero(starts), dim)
+    return JointEigenstructure(
+        basis=np.eye(dim, dtype=complex)[:, order], eigentuples=tuples,
+        clusters=tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())))
 
 
 def subspace_intersection(subs: list[Subspace]) -> Subspace:

@@ -10,12 +10,19 @@ eigenspaces, and the global index is the sum over closures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .cliff import CliffordModule
+from .cliff import (
+    CliffordModule,
+    _module_report,
+    _module_rows,
+    _shape_problems,
+)
 from .holonomy import HolonomyGroup, NotInvariantError, check_equivariance, invariant_dim_in
 from .linalg import (
     INTERSECTION_TOL,
@@ -23,6 +30,15 @@ from .linalg import (
     JointEigenstructure,
     LinalgError,
     Subspace,
+    _adjoint_norms,
+    _brackets,
+    _concat,
+    _Monomial,
+    _monomial,
+    _norms,
+    _product,
+    _read_only,
+    _row_norms,
     hermitian_eig,
     joint_eig,
 )
@@ -100,19 +116,155 @@ class ClosureValidation:
 
 def gram_matrix(d: ClosureDatum) -> tuple[Array, float]:
     """Scalar matrix G_jk with (Z_j Z_k + Z_k Z_j)/2 = G_jk I, plus the worst
-    deviation of those anticommutators from scalar multiples of I."""
-    m = d.module.m
-    dim = d.module.dim
+    deviation of those anticommutators from scalar multiples of I.
+
+    Z_j with at most one nonzero per row are multiplied by composing index
+    arrays; other Z_j by dense products."""
+    z = _monomial(d.z)
+    if z is None:
+        return _dense_gram(d.z)
+    j, k = _closure_rows(len(z.cols)).gram
+    half = np.full(len(j), 0.5)
+    p, q = _brackets(z, j, k, half, half)
+    gram, scalars = _gram_rows(p, q, j, k, len(z.cols))
+    return gram, float(_norms(p, q, -scalars).max())
+
+
+def _dense_gram(z: tuple[Array, ...]) -> tuple[Array, float]:
+    m, dim = len(z), z[0].shape[0]
     eye = np.eye(dim, dtype=complex)
     gram = np.zeros((m, m))
     worst = 0.0
     for j in range(m):
         for k in range(j, m):
-            anti = 0.5 * (d.z[j] @ d.z[k] + d.z[k] @ d.z[j])
+            anti = 0.5 * (z[j] @ z[k] + z[k] @ z[j])
             scalar = float((np.trace(anti) / dim).real)
             worst = max(worst, float(np.linalg.norm(anti - scalar * eye)))
             gram[j, k] = gram[k, j] = scalar
     return gram, worst
+
+
+def _gram_rows(p: _Monomial, q: _Monomial, j: Array, k: Array, m: int
+               ) -> tuple[Array, Array]:
+    """G from the rows p + q = (Z_j Z_k + Z_k Z_j)/2, and the scalar of each
+    row, trace / dim."""
+    rows = np.arange(p.cols.shape[-1])
+    trace = (np.where(p.cols == rows, p.vals, 0.0)
+             + np.where(q.cols == rows, q.vals, 0.0)).sum(axis=-1)
+    scalars = (trace / len(rows)).real
+    gram = np.zeros((m, m))
+    gram[j, k] = gram[k, j] = scalars
+    return gram, scalars
+
+
+class _ClosureRows(NamedTuple):
+    """Index plan of _monomial_checks for m generators, built once per m.
+
+    The rows (a, b, wp, wq, lam) of one batched sum wp a b + wq b a + lam I
+    over the stack (c_1..c_m, eps, Z_1..Z_m, L_1..L_m) are, in order:
+    _module_rows' rows | eps Z_j + Z_j eps | c_j Z_j + Z_j c_j |
+    c_k Z_j + Z_j c_k (k != j) | (Z_j Z_k + Z_k Z_j) / 2 - G_jk I (j <= k) |
+    L_j eps - eps L_j | L_j L_j - g_jj I | L_j L_k - L_k L_j (j < k).
+    lam holds the module rows' values and zeros where G enters.
+    """
+
+    rows: tuple[Array, Array, Array, Array, Array]
+    parts: tuple[slice, ...]  # the eight groups of rows above
+    gram: tuple[Array, Array]  # (j, k), j <= k
+    pairs: tuple[Array, Array]  # (j, k), j < k
+    signs: Array  # of c_j + c_j^H, eps - eps^H, Z_j - Z_j^H, L_j - L_j^H
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_rows(m: int) -> _ClosureRows:
+    c, eps = np.arange(m), np.full(m, m)
+    z, lm = c + m + 1, c + 2 * m + 1
+    j, k = np.nonzero(~np.eye(m, dtype=bool))
+    gj, gk = np.triu_indices(m)
+    pj, pk = np.triu_indices(m, 1)
+    ma, mb, mwp, mwq, mlam, msigns = _module_rows(m)
+    a = [ma, eps, c, c[k], z[gj], lm, lm, lm[pj]]
+    b = [mb, z, z, z[j], z[gk], eps, lm, lm[pk]]
+    wq = [mwq, np.ones(2 * m + len(j)), np.full(len(gj), 0.5), -np.ones(m), np.zeros(m),
+          -np.ones(len(pj))]
+    ends = np.cumsum([len(x) for x in a])
+    wp = np.ones(ends[-1])
+    wp[:len(ma)] = mwp
+    wp[ends[3]:ends[4]] = 0.5
+    lam = np.zeros(ends[-1])
+    lam[:len(ma)] = mlam
+    return _ClosureRows(
+        rows=_read_only(np.concatenate(a), np.concatenate(b), wp, np.concatenate(wq), lam),
+        parts=tuple(slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)),
+        gram=_read_only(gj, gk), pairs=_read_only(pj, pk),
+        signs=_read_only(np.append(msigns, -np.ones(2 * m)))[0])
+
+
+class _Violations(NamedTuple):
+    """The closure checks' raw numbers, from dense or monomial products."""
+
+    scale: float  # max(1, ||Z_j||)
+    herm: float
+    odd: float
+    diag_anti: float
+    off: float  # all-pairs symbol anticommutation
+    gram: Array
+    gram_dev: float
+    l_ops: tuple[Array, ...]
+    l_parts: tuple[Array, Array, Array, Array]  # see _worst_l_violation
+
+
+def _dense_violations(mod: CliffordModule, z: tuple[Array, ...]) -> _Violations:
+    m, eps, c = mod.m, mod.grading, mod.c
+    off = 0.0
+    for j in range(m):
+        for k in range(m):
+            if k != j:
+                off = max(off, float(np.linalg.norm(c[k] @ z[j] + z[j] @ c[k])))
+    gram, gram_dev = _dense_gram(z)
+    l_ops = [c[j] @ z[j] for j in range(m)]
+    eye = np.eye(mod.dim, dtype=complex)
+    comm = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j + 1, m):
+            comm[j, k] = np.linalg.norm(l_ops[j] @ l_ops[k] - l_ops[k] @ l_ops[j])
+    return _Violations(
+        scale=max([1.0] + [float(np.linalg.norm(zj)) for zj in z]),
+        herm=max(float(np.linalg.norm(zj - zj.conj().T)) for zj in z),
+        odd=max(float(np.linalg.norm(eps @ zj + zj @ eps)) for zj in z),
+        diag_anti=max(float(np.linalg.norm(c[j] @ z[j] + z[j] @ c[j])) for j in range(m)),
+        off=off, gram=gram, gram_dev=gram_dev, l_ops=tuple(l_ops),
+        l_parts=(np.array([np.linalg.norm(lj - lj.conj().T) for lj in l_ops]),
+                 np.array([np.linalg.norm(lj @ eps - eps @ lj) for lj in l_ops]),
+                 np.array([np.linalg.norm(lj @ lj - gram[j, j] * eye)
+                           for j, lj in enumerate(l_ops)]),
+                 comm))
+
+
+def _monomial_checks(base: _Monomial, tol: float) -> tuple[list[str], _Violations]:
+    """The module problems and _dense_violations' numbers from the monomial form
+    of (c_1, ..., c_m, grading, Z_1, ..., Z_m), in one batched round of products."""
+    m = len(base.cols) // 2
+    plan = _closure_rows(m)
+    c = np.arange(m)
+    base = _concat(base, _product(base, c, c + m + 1))  # L_j = c_j Z_j
+    p, q = _brackets(base, *plan.rows[:4])
+    module, odd, diag_anti, off, gram_rows, grade, square, comm_rows = plan.parts
+    gram, scalars = _gram_rows(p.take(gram_rows), q.take(gram_rows), *plan.gram, m)
+    lam = plan.rows[4].copy()
+    lam[gram_rows] = -scalars
+    lam[square] = -np.diag(gram)
+    viol = _norms(p, q, lam).tolist()
+    adjoint = _adjoint_norms(base, plan.signs).tolist()
+    comm = np.zeros((m, m))
+    comm[plan.pairs] = viol[comm_rows]
+    z = slice(m + 1, 2 * m + 1)
+    return _module_report(m, viol[module], adjoint[:m + 1], tol), _Violations(
+        scale=max(1.0, float(_row_norms(base.vals[z].view(float)).max())),
+        herm=max(adjoint[z]), odd=max(viol[odd]), diag_anti=max(viol[diag_anti]),
+        off=max(viol[off], default=0.0), gram=gram, gram_dev=max(viol[gram_rows]),
+        l_ops=tuple(base.take(slice(2 * m + 1, None)).dense()),
+        l_parts=(adjoint[2 * m + 1:], viol[grade], viol[square], comm))
 
 
 def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValidation:
@@ -128,48 +280,52 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     but the transverse-signature example violates it and still localizes, as
     does any perturbation whose anticommutator with the operator is merely
     bounded.  Equivariance defects are likewise warnings.
+
+    When the c_j, the grading and the Z_j all have at most one nonzero per
+    row (exterior modules with hat_linear perturbations), one nonzero count
+    over them selects index composition: the module and closure checks run
+    as one batch over all (j, k) pairs in O(m^2 dim).  Otherwise the Z_j
+    checks multiply dense matrices in O(m^2 dim^3), and the module is
+    classified alone by CliffordModule.validate.  Both paths give every
+    check the same name, severity, bound and note.
     """
     checks: list[ValidationCheck] = []
     mod = d.module
     m, dim = mod.m, mod.dim
     eps = mod.grading
-    scale = max([1.0] + [float(np.linalg.norm(zj)) for zj in d.z])
 
     def add(name, severity, violation, threshold, note=""):
         checks.append(ValidationCheck(name, severity, violation <= threshold, violation, note))
 
-    module_problems = mod.validate(tol)
+    shape_problems = _shape_problems(mod)
+    z_shaped = len(d.z) == m and all(zj.shape == (dim, dim) for zj in d.z)
+    base = None if shape_problems or not z_shaped else _monomial([*mod.c, eps, *d.z])
+    if base is None:
+        module_problems = mod.validate(tol)
+    else:
+        module_problems, v = _monomial_checks(base, tol)
     checks.append(ValidationCheck(
         "module_clifford_relations", "hard", not module_problems, float(len(module_problems)),
         "; ".join(module_problems)))
-    if any("shape" in p or "generators" in p for p in module_problems):
+    if shape_problems:
         return ClosureValidation(d.name, tuple(checks), np.zeros((m, m)))
 
-    if len(d.z) != m or any(zj.shape != (dim, dim) for zj in d.z):
+    if not z_shaped:
         checks.append(ValidationCheck("perturbation_shapes", "hard", False, 1.0,
                                       f"expected {m} matrices of shape {(dim, dim)}"))
         return ClosureValidation(d.name, tuple(checks), np.zeros((m, m)))
     checks.append(ValidationCheck("perturbation_shapes", "hard", True, 0.0))
 
-    herm = max(float(np.linalg.norm(zj - zj.conj().T)) for zj in d.z)
-    add("perturbation_hermitian", "hard", herm, tol * scale)
-
-    odd = max(float(np.linalg.norm(eps @ zj + zj @ eps)) for zj in d.z)
-    add("perturbation_odd", "hard", odd, tol * scale)
-
-    diag_anti = max(float(np.linalg.norm(mod.c[j] @ d.z[j] + d.z[j] @ mod.c[j]))
-                    for j in range(m))
-    add("clifford_form_diagonal_anticommutation", "hard", diag_anti, tol * scale)
-
-    off = 0.0
-    for j in range(m):
-        for k in range(m):
-            if k != j:
-                off = max(off, float(np.linalg.norm(mod.c[k] @ d.z[j] + d.z[j] @ mod.c[k])))
-    add("symbol_anticommutation_all_pairs", "warning", off, tol * scale,
+    if base is None:
+        v = _dense_violations(mod, d.z)
+    scale = v.scale
+    add("perturbation_hermitian", "hard", v.herm, tol * scale)
+    add("perturbation_odd", "hard", v.odd, tol * scale)
+    add("clifford_form_diagonal_anticommutation", "hard", v.diag_anti, tol * scale)
+    add("symbol_anticommutation_all_pairs", "warning", v.off, tol * scale,
         "zeroth-order condition; first-order anticommutators still localize")
 
-    gram, gram_dev = gram_matrix(d)
+    gram, gram_dev = v.gram, v.gram_dev
     add("gram_scalar", "hard", gram_dev, tol * max(1.0, scale**2))
     gram_eigs = np.linalg.eigvalsh(gram)
     lam_min = float(gram_eigs[0])
@@ -179,8 +335,7 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
                                   max(0.0, spd_cutoff - lam_min),
                                   f"eigenvalue range [{gram_eigs[0]:.3e}, {gram_eigs[-1]:.3e}]"))
 
-    l_ops = [mod.c[j] @ d.z[j] for j in range(m)]
-    l_viol, l_note = _l_property_violation(l_ops, eps, gram)
+    l_viol, l_note = _worst_l_violation(*v.l_parts)
     add("commuting_operators", "hard", l_viol, tol * max(1.0, float(np.linalg.norm(gram))),
         l_note)
 
@@ -204,32 +359,27 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
         bound = lam_min - m * gram_dev
         gap = max(0.0, math.sqrt(lam_min) * (1.0 - tol) - math.sqrt(max(bound, 0.0)))
         checks.append(ValidationCheck(
-            "nondegenerate_off_closure", "hard", herm <= tol * scale and gap <= tol * scale, gap,
-            "smallest singular value of sum sigma_j Z_j vs sqrt(min eig G)"))
+            "nondegenerate_off_closure", "hard", v.herm <= tol * scale and gap <= tol * scale,
+            gap, "smallest singular value of sum sigma_j Z_j vs sqrt(min eig G)"))
 
-    return ClosureValidation(d.name, tuple(checks), gram, tuple(l_ops))
+    return ClosureValidation(d.name, tuple(checks), gram, v.l_ops)
 
 
-def _l_property_violation(l_ops: list[Array], eps: Array, gram: Array) -> tuple[float, str]:
-    """Worst violation among: L_j Hermitian, even, pairwise commuting,
-    L_j^2 = g_jj I.  Returns (violation, note naming the worst pair)."""
-    m = len(l_ops)
-    dim = eps.shape[0]
-    eye = np.eye(dim, dtype=complex)
+def _worst_l_violation(herm: Array, grade: Array, square: Array, comm: Array
+                       ) -> tuple[float, str]:
+    """Worst violation among: L_j Hermitian (herm[j]), even (grade[j]),
+    L_j^2 = g_jj I (square[j]), pairwise commuting (comm[j, k], k > j).
+    Returns (violation, note naming the first worst in that order by j)."""
     worst, note = 0.0, ""
-
-    def bump(v, msg):
-        nonlocal worst, note
-        if v > worst:
-            worst, note = v, msg
-
-    for j, lj in enumerate(l_ops):
-        bump(float(np.linalg.norm(lj - lj.conj().T)), f"L_{j} not Hermitian")
-        bump(float(np.linalg.norm(lj @ eps - eps @ lj)), f"L_{j} does not commute with grading")
-        bump(float(np.linalg.norm(lj @ lj - gram[j, j] * eye)), f"L_{j}^2 != g_{j}{j} I")
-        for k in range(j + 1, m):
-            bump(float(np.linalg.norm(lj @ l_ops[k] - l_ops[k] @ lj)),
-                 f"pair ({j}, {k}) does not commute")
+    for j in range(len(herm)):
+        parts = [(herm[j], f"L_{j} not Hermitian"),
+                 (grade[j], f"L_{j} does not commute with grading"),
+                 (square[j], f"L_{j}^2 != g_{j}{j} I")]
+        parts += [(comm[j, k], f"pair ({j}, {k}) does not commute")
+                  for k in range(j + 1, len(herm))]
+        for v, msg in parts:
+            if v > worst:
+                worst, note = float(v), msg
     return worst, note
 
 
@@ -299,13 +449,25 @@ def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureAnalysi
     if not report.passed:
         raise ClosureValidationError(
             "closure data failed validation:\n" + report.summary())
-    w, v = hermitian_eig(d.module.grading, tol)
+    eps = d.module.grading
+    diagonal = all(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
+                   for a in (eps, *report.l_ops))
+    if diagonal:
+        # the grading's eigenspaces are coordinate subspaces, and the L_j restrict
+        # to them by index selection, staying diagonal for joint_eig's sort
+        w, v = eps.diagonal().real, np.eye(d.module.dim, dtype=complex)
+    else:
+        w, v = hermitian_eig(eps, tol)
     if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
         raise ClosureValidationError("grading eigenvalues are not +/-1")
     sides = []
     for sign in (+1.0, -1.0):
-        u = v[:, np.abs(w - sign) < 0.5]
-        restricted = [u.conj().T @ lj @ u for lj in report.l_ops]
+        keep = np.abs(w - sign) < 0.5
+        u = v[:, keep]
+        if diagonal:
+            restricted = [np.diag(lj.diagonal()[keep]) for lj in report.l_ops]
+        else:
+            restricted = [u.conj().T @ lj @ u for lj in report.l_ops]
         sides.append((u, joint_eig(restricted, tol)))
     smallest = min(float(np.min(np.abs(struct.eigentuples))) for _, struct in sides)
     if smallest <= SIGN_TOL:

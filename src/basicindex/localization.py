@@ -538,7 +538,8 @@ def _graded_kernel_counts(model: CircleModel, h: sparse.csr_matrix, full: Array,
     K = 2 threshold keeps one block and lifts the other above threshold: the
     inertia of each at threshold is that block's count.  full holds the
     certified lowest eigenvalues of h, and the two counts must add up to its
-    count below threshold.
+    count below threshold, or, when threshold lies above all of full (so
+    more eigenvalues may lie below it than full holds), to _inertia(h, threshold).
     """
     from scipy import sparse
 
@@ -552,7 +553,8 @@ def _graded_kernel_counts(model: CircleModel, h: sparse.csr_matrix, full: Array,
     lift = threshold * sparse.identity(n, format="csr")  # K (I -/+ G) / 2 = threshold (I -/+ G)
     kp = _inertia(h + lift - threshold * g, threshold)
     km = _inertia(h + lift + threshold * g, threshold)
-    below = int(np.count_nonzero(full < threshold))
+    below = (int(np.count_nonzero(full < threshold)) if full[-1] >= threshold
+             else _inertia(h, threshold))
     if kp + km != below:
         raise DiscretizationError(
             f"grading blocks hold {kp} + {km} eigenvalues below {threshold:.12g} on {n} rows, "

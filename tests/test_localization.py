@@ -115,6 +115,17 @@ def test_grading_blocks_are_exact():
         assert sum(counts) == _inertia(h, mu) == np.sum(dense < mu), mu
 
 
+def test_block_counts_above_the_certified_values():
+    # a threshold past the 16 certified values, inside a level that holds more:
+    # the block counts are checked against the inertia count, not against 16
+    model = cosine_preset()
+    h = _assemble_sparse(model, 50.0, 64)
+    full = _banded_eigs(h, 16)
+    threshold = full[-1] + 1e-3
+    assert np.count_nonzero(full < threshold) == 16 and _inertia(h, threshold) == 18
+    assert _graded_kernel_counts(model, h, full, threshold) == (9, 9)
+
+
 def test_inertia_next_to_a_16_fold_level():
     # cos(4 t) chat at s = 100: 8 kernel levels, then 16 copies of 7.9187.  An
     # unpivoted count 1e-8 above them missed 2 copies; at the certificate's
