@@ -114,22 +114,6 @@ class ClosureValidation:
         return "\n".join(lines)
 
 
-def gram_matrix(d: ClosureDatum) -> tuple[Array, float]:
-    """Scalar matrix G_jk with (Z_j Z_k + Z_k Z_j)/2 = G_jk I, plus the worst
-    deviation of those anticommutators from scalar multiples of I.
-
-    Z_j with at most one nonzero per row are multiplied by composing index
-    arrays; other Z_j by dense products."""
-    z = _monomial(d.z)
-    if z is None:
-        return _dense_gram(d.z)
-    j, k = _closure_rows(len(z.cols)).gram
-    half = np.full(len(j), 0.5)
-    p, q = _brackets(z, j, k, half, half)
-    gram, scalars = _gram_rows(p, q, j, k, len(z.cols))
-    return gram, float(_norms(p, q, -scalars).max())
-
-
 def _dense_gram(z: tuple[Array, ...]) -> tuple[Array, float]:
     m, dim = len(z), z[0].shape[0]
     eye = np.eye(dim, dtype=complex)
@@ -284,10 +268,10 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     When the c_j, the grading and the Z_j all have at most one nonzero per
     row (exterior modules with hat_linear perturbations), one nonzero count
     over them selects index composition: the module and closure checks run
-    as one batch over all (j, k) pairs in O(m^2 dim).  Otherwise the Z_j
-    checks multiply dense matrices in O(m^2 dim^3), and the module is
-    classified alone by CliffordModule.validate.  Both paths give every
-    check the same name, severity, bound and note.
+    as one batch over all (j, k) pairs in O(m^2 dim).  Otherwise the module
+    goes through CliffordModule.validate and the Z_j checks, both multiplying
+    dense matrices in O(m^2 dim^3).  Both paths give every check the same
+    name, severity, bound and note.
     """
     checks: list[ValidationCheck] = []
     mod = d.module
@@ -450,11 +434,10 @@ def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureAnalysi
         raise ClosureValidationError(
             "closure data failed validation:\n" + report.summary())
     eps = d.module.grading
-    diagonal = all(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
-                   for a in (eps, *report.l_ops))
+    diagonal = np.count_nonzero(eps) == np.count_nonzero(np.diagonal(eps))
     if diagonal:
-        # the grading's eigenspaces are coordinate subspaces, and the L_j restrict
-        # to them by index selection, staying diagonal for joint_eig's sort
+        # the grading's eigenspaces are coordinate subspaces, so u = eye[:, keep]
+        # and u^H L_j u is the L_j block on keep
         w, v = eps.diagonal().real, np.eye(d.module.dim, dtype=complex)
     else:
         w, v = hermitian_eig(eps, tol)
@@ -465,7 +448,7 @@ def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureAnalysi
         keep = np.abs(w - sign) < 0.5
         u = v[:, keep]
         if diagonal:
-            restricted = [np.diag(lj.diagonal()[keep]) for lj in report.l_ops]
+            restricted = [lj[np.ix_(keep, keep)] for lj in report.l_ops]
         else:
             restricted = [u.conj().T @ lj @ u for lj in report.l_ops]
         sides.append((u, joint_eig(restricted, tol)))
