@@ -232,7 +232,8 @@ def cmd_localize(args) -> int:
     model = _load(args.scenario)
     if model.circle_model is None:
         raise ScenarioFormatError(args.scenario, "scenario has no circle_model section")
-    most = model.circle_model.fiber_dim * (2 * args.modes + 1) - 2  # Lanczos on the base grid
+    # Lanczos solves ceil(jmax / 2) values of one grading block, half the base grid's rows
+    most = model.circle_model.fiber_dim * (2 * args.modes + 1) - 4
     if args.jmax > most:
         raise ScenarioFormatError("--jmax", f"{args.jmax} exceeds {most}, the most eigenvalues "
                                   f"--modes {args.modes} resolves")

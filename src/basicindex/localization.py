@@ -502,8 +502,63 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
+def _grading_blocks(model: CircleModel, h: sparse.csr_matrix
+                    ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """The grading blocks H_+ = P_+^H h P_+ and H_- = P_-^H h P_- of h, with P_+/- = I (x) U_+/-.
+
+    U_+ and U_- hold the +1 and -1 eigenvectors of the grading.  For a
+    diagonal grading they are columns of I, so the blocks are rows and
+    columns selected from h, with no arithmetic; otherwise h is first
+    rotated into the grading's eigenbasis on every mode.  h must commute
+    with the grading induced on modes: the dropped block H_+- = P_+^H h P_-
+    is half the commutator in the graded basis, and an entry above
+    1e-10 max(1, max |h|) / 2 raises CircleModelError.
+    """
+    from scipy import sparse
+
+    f = model.fiber_dim
+    modes = h.shape[0] // f
+    eps = model.grading
+    scale = max(1.0, float(np.max(np.abs(h.data))))
+    if np.count_nonzero(eps) == np.count_nonzero(np.diagonal(eps)):
+        w = eps.diagonal().real
+    else:
+        w, v = np.linalg.eigh(eps)
+        rotation = sparse.kron(sparse.identity(modes), sparse.csr_matrix(v), format="csr")
+        h = (rotation.conj().T @ h @ rotation).tocsr()
+    rows = [(f * np.arange(modes)[:, None] + np.flatnonzero(sign * w > 0)).ravel()
+            for sign in (1, -1)]
+    plus = h[rows[0]]
+    leak = plus[:, rows[1]]
+    if leak.nnz and 2.0 * float(np.max(np.abs(leak.data))) > 1e-10 * scale:
+        raise CircleModelError("H_s does not commute with the induced grading")
+    return plus[:, rows[0]], h[rows[1]][:, rows[1]]
+
+
+def _block_eigs(blocks: tuple[sparse.csr_matrix, sparse.csr_matrix], count: int) -> Array:
+    """Lowest count eigenvalues of H_s = H_+ (+) H_-, ascending, from one block solve.
+
+    The truncated D_s is odd for the grading and its block D_+ : E_+ -> E_-
+    is square, so H_+ = D_+^H D_+ / s and H_- = D_+ D_+^H / s have the same
+    spectrum, kernels included (Witten's supersymmetric pairing).  The
+    lowest ceil(count / 2) eigenvalues of H_+ are solved for, certified by
+    _banded_eigs, and each is reported twice.  The pairing is certified by
+    inertia: H_- must hold as many eigenvalues as H_+ below the top value
+    plus the certificate's cluster width, else DiscretizationError.
+    """
+    plus, minus = blocks
+    w = _banded_eigs(plus, -(-count // 2))
+    mu = float(w[-1]) + STABILITY_TOL * max(1.0, float(np.max(np.abs(plus.data))))
+    kp, km = _inertia(plus, mu), _inertia(minus, mu)
+    if kp != km:
+        raise DiscretizationError(
+            f"grading blocks are not paired: {kp} and {km} eigenvalues lie below {mu:.12g} "
+            f"on {plus.shape[0]} rows each")
+    return np.repeat(w, 2)[:count]
+
+
 def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int
-                    ) -> tuple[Array, int, sparse.csr_matrix]:
+                    ) -> tuple[Array, int, tuple[sparse.csr_matrix, sparse.csr_matrix]]:
     """Eigenvalues stable under grid doubling, escalating n_modes as needed.
 
     The doubling check is the self-convergence gate: values are reported only
@@ -512,53 +567,40 @@ def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int
     base resolution may be insufficient for the tail of a sweep; escalation
     bounded by three doublings keeps the gate honest and errors past the cap.
     Returns the lowest max(count, 10) eigenvalues at the accepted mode count,
-    that mode count, and the operator assembled there.
+    that mode count, and the grading blocks of the operator assembled there.
     """
     n = n_modes
     probe = max(count, 10)
-    coarse = _banded_eigs(_assemble_sparse(model, s, n), probe)
+    coarse = _block_eigs(_grading_blocks(model, _assemble_sparse(model, s, n)), probe)
     for _ in range(3):
-        h = _assemble_sparse(model, s, 2 * n)
-        fine = _banded_eigs(h, probe)
+        blocks = _grading_blocks(model, _assemble_sparse(model, s, 2 * n))
+        fine = _block_eigs(blocks, probe)
         if float(np.max(np.abs(coarse - fine))) < STABILITY_TOL:
-            return fine, 2 * n, h
+            return fine, 2 * n, blocks
         n, coarse = 2 * n, fine
-        del h  # released before the next, larger assembly
+        del blocks  # released before the next, larger assembly
     raise DiscretizationError(
         f"eigenvalues not stable under grid doubling at s = {s:g} up to "
         f"{2 * n} modes; rerun with a larger --modes value")
 
 
-def _graded_kernel_counts(model: CircleModel, h: sparse.csr_matrix, full: Array,
+def _graded_kernel_counts(blocks: tuple[sparse.csr_matrix, sparse.csr_matrix], full: Array,
                           threshold: float) -> tuple[int, int]:
-    """Exact counts of eigenvalues of h below threshold on the +1 and -1 grading blocks.
+    """Exact counts of eigenvalues of H_s below threshold on the +1 and -1 grading blocks.
 
-    h commutes with G, the grading induced on modes (checked to 1e-10
-    relative), and is positive semidefinite, so h + K (I -/+ G) / 2 with
-    K = 2 threshold keeps one block and lifts the other above threshold: the
-    inertia of each at threshold is that block's count.  full holds the
-    certified lowest eigenvalues of h, and the two counts must add up to its
-    count below threshold, or, when threshold lies above all of full (so
-    more eigenvalues may lie below it than full holds), to _inertia(h, threshold).
+    They are the inertia counts of H_+ and H_- at threshold.  full holds the
+    certified lowest eigenvalues of H_s = H_+ (+) H_-, and when threshold
+    lies below full[-1] the two counts must add up to full's count below
+    threshold.  When it lies above all of full, the inertia of H_s at
+    threshold is kp + km itself, and nothing is left to compare.
     """
-    from scipy import sparse
-
-    n = h.shape[0]
-    g = sparse.kron(sparse.identity(n // model.fiber_dim),
-                    sparse.csr_matrix(model.grading)).tocsr()
-    scale = max(1.0, float(np.max(np.abs(h.data))))
-    leak = (h @ g - g @ h).tocsr()
-    if leak.nnz and float(np.max(np.abs(leak.data))) > 1e-10 * scale:
-        raise CircleModelError("H_s does not commute with the induced grading")
-    lift = threshold * sparse.identity(n, format="csr")  # K (I -/+ G) / 2 = threshold (I -/+ G)
-    kp = _inertia(h + lift - threshold * g, threshold)
-    km = _inertia(h + lift + threshold * g, threshold)
-    below = (int(np.count_nonzero(full < threshold)) if full[-1] >= threshold
-             else _inertia(h, threshold))
-    if kp + km != below:
+    plus, minus = blocks
+    kp, km = _inertia(plus, threshold), _inertia(minus, threshold)
+    below = int(np.count_nonzero(full < threshold))
+    if full[-1] >= threshold and kp + km != below:
         raise DiscretizationError(
-            f"grading blocks hold {kp} + {km} eigenvalues below {threshold:.12g} on {n} rows, "
-            f"but {below} certified eigenvalues lie there")
+            f"grading blocks hold {kp} + {km} eigenvalues below {threshold:.12g} on "
+            f"{plus.shape[0] + minus.shape[0]} rows, but {below} certified eigenvalues lie there")
     return kp, km
 
 
@@ -566,12 +608,12 @@ def _model_row(model: CircleModel, s: float, n_modes: int, mu: Array,
                threshold: float) -> SweepRow:
     """Sweep row at s for Z with zeros: gap to the model levels mu and graded counts.
 
-    Both come from the one operator that grid doubling accepted, which is
-    released on return.
+    Both come from the grading blocks of the one operator that grid doubling
+    accepted, which are released on return.
     """
-    low, used, h = _converged_eigs(model, s, n_modes, mu.size)
+    low, used, blocks = _converged_eigs(model, s, n_modes, mu.size)
     eigs = low[: mu.size]
-    kp, km = _graded_kernel_counts(model, h, low, threshold)
+    kp, km = _graded_kernel_counts(blocks, low, threshold)
     return SweepRow(s=s, n_modes=used, eigenvalues=eigs, gap=float(np.max(np.abs(eigs - mu))),
                     spectral_index=kp - km, kernel_plus=kp, kernel_minus=km)
 

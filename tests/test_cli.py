@@ -153,9 +153,10 @@ def test_localize_compares_a_positive_level(tmp_path):
 
 @pytest.mark.parametrize("harmonic", [2, 4])
 def test_localize_counts_each_grading_block(tmp_path, harmonic):
-    # cos(2 t) chat: the 10-eigenvalue solve at s = 10 ends inside a 4-fold level at
-    # 3.7806, where Lanczos returns 3 of its 4 copies on every grid.  cos(4 t) chat:
-    # the certificate counts right above a 16-fold level at s = 100
+    # cos(2 t) chat: at s = 10 the 5-value solve on H+ ends inside its 2-fold level
+    # at 3.7806 (4-fold in H_s, where a full solve returned 3 of the 4 copies on every
+    # grid).  cos(4 t) chat: the certificate counts right above the 8-fold level of
+    # H+ at s = 100
     path = write_scenario(tmp_path, circle_doc(harmonic, [[0.0, 1.0], [1.0, 0.0]]))
     code, out, err = run_quiet(["localize", path, "--format", "json"])
     assert code == 0, err
@@ -165,8 +166,8 @@ def test_localize_counts_each_grading_block(tmp_path, harmonic):
 
 @pytest.mark.parametrize("extra", [[], ["--jmax", "12"]])
 def test_localize_single_thread_blas_certifies_clusters(tmp_path, extra):
-    # with 1-thread BLAS the 10-eigenvalue solve at s = 1000 ends inside the 12-fold
-    # level at 5.9955 of cos(3 t) chat, and Lanczos stops short of it
+    # with 1-thread BLAS the solve on H+ at s = 1000 ends inside the 6-fold level at
+    # 5.9955 of cos(3 t) chat (12-fold in H_s, where a full solve stopped short of it)
     path = write_scenario(tmp_path, circle_doc(3, [[0.0, 1.0], [1.0, 0.0]]))
     src = str(Path(basicindex.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-m", "basicindex.cli", "localize", path,
@@ -176,6 +177,19 @@ def test_localize_single_thread_blas_certifies_clusters(tmp_path, extra):
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout)["rows"]
     assert [(r["kernel_plus"], r["kernel_minus"]) for r in rows] == [(3, 3)] * 3
+
+
+def test_even_part_of_z_is_a_check_failure(tmp_path):
+    # cos(t) chat + 3e-10 I passes the circle model's 1e-9 checks, but the even part
+    # couples the grading blocks that the solver keeps apart
+    doc = circle_doc(1, [[0.0, 1.0], [1.0, 0.0]])
+    doc["circle_model"]["perturbation"]["terms"].append(
+        {"harmonic": 0, "cos": [[3e-10, 0.0], [0.0, 3e-10]]})
+    path = write_scenario(tmp_path, doc)
+    for fmt in ("text", "json"):
+        code, out, err = run_quiet(["localize", path, "--format", fmt])
+        assert code == 1 and out == ""
+        assert err == "check failed: H_s does not commute with the induced grading\n"
 
 
 def test_linearization_defect_names_the_zero(tmp_path):
@@ -191,9 +205,11 @@ def test_linearization_defect_names_the_zero(tmp_path):
     assert err.rstrip().splitlines()[-1].startswith("  [FAIL] ")
 
 
-@pytest.mark.parametrize("extra", [["--jmax", "1000"], ["--modes", "64", "--jmax", "257"]])
+@pytest.mark.parametrize("extra", [["--jmax", "1000"], ["--modes", "64", "--jmax", "257"],
+                                   ["--modes", "64", "--jmax", "255"]])
 def test_jmax_beyond_the_grid_is_input_error(extra):
-    # the base grid has fiber_dim (2 modes + 1) rows, and Lanczos resolves 2 fewer
+    # the base grid has fiber_dim (2 modes + 1) rows, Lanczos solves ceil(jmax / 2)
+    # values of one grading block on half of them, and it resolves 2 fewer than its rows
     code, out, err = run_quiet(["localize", "cosine_localization"] + extra)
     assert code == 2 and out == ""
     assert err.startswith("input error: --jmax: ") and "--modes" in err
@@ -293,6 +309,13 @@ def _offset_plus_block(monkeypatch):
     return patched
 
 
+def _unpaired_blocks(split):
+    def patched(*args):
+        plus, minus = split(*args)
+        return plus, 1.5 * minus  # the kernel stays, the positive levels move
+    return patched
+
+
 def _offset_both_blocks(graded):
     def patched(*args):
         kp, km = graded(*args)
@@ -303,6 +326,7 @@ def _offset_both_blocks(graded):
 SOLVER_FAILURES = {"cholesky": "banded Cholesky", "lanczos": "Lanczos converged to no eigenvalue",
                    "missed eigenvalue": "an eigenvalue was missed",
                    "block inertia": "certified eigenvalues lie there",
+                   "unpaired blocks": "grading blocks are not paired",
                    "kernel dims": "but the zeros' kernel dims are (1, 1)"}
 
 
@@ -317,6 +341,9 @@ def test_solver_failure_is_a_check_failure(monkeypatch, capsys, fault):
     elif fault == "missed eigenvalue":
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                             _drop_one_eigenvalue(scipy.sparse.linalg.eigsh))
+    elif fault == "unpaired blocks":
+        monkeypatch.setattr(localization, "_grading_blocks",
+                            _unpaired_blocks(localization._grading_blocks))
     elif fault == "block inertia":
         monkeypatch.setattr(localization, "_graded_kernel_counts", _offset_plus_block(monkeypatch))
     else:

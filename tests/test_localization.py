@@ -14,12 +14,15 @@ from basicindex import (
     cosine_preset,
     model_spectrum_at_zeros,
 )
+from basicindex import localization
 from basicindex.localization import (
     STABILITY_TOL,
     _assemble_sparse,
     _banded_eigs,
+    _block_eigs,
     _converged_eigs,
     _graded_kernel_counts,
+    _grading_blocks,
     _inertia,
     find_zeros,
 )
@@ -102,16 +105,21 @@ def test_assembled_matrix_is_psd_for_carriere():
 
 
 def test_grading_blocks_are_exact():
-    # inertia(H, mu) = inertia(H+, mu) + inertia(H-, mu), and each block count is exact
+    # the diagonal grading selects H+ and H- from H, the doubled H+ values are the
+    # low spectrum of H, and inertia(H, mu) = inertia(H+, mu) + inertia(H-, mu)
     model = cosine_preset()
     h = _assemble_sparse(model, 50.0, 64)
-    full = _banded_eigs(h, 16)
+    blocks = _grading_blocks(model, h)
+    full = _block_eigs(blocks, 16)
     dense = np.linalg.eigvalsh(h.toarray())
+    assert np.max(np.abs(full - dense[:16])) < 1e-9
     rows = np.tile(np.diag(model.grading).real > 0, 2 * 64 + 1)
-    blocks = [np.linalg.eigvalsh(h[mask][:, mask].toarray()) for mask in (rows, ~rows)]
+    for block, mask in zip(blocks, (rows, ~rows)):
+        assert (block != h[mask][:, mask]).nnz == 0
+    spectra = [np.linalg.eigvalsh(block.toarray()) for block in blocks]
     for mu in (0.5, 1.0, 0.5 * (full[5] + full[6]), 0.5 * (full[9] + full[10])):
-        counts = _graded_kernel_counts(model, h, full, mu)
-        assert counts == tuple(int(np.sum(b < mu)) for b in blocks), mu
+        counts = _graded_kernel_counts(blocks, full, mu)
+        assert counts == tuple(int(np.sum(b < mu)) for b in spectra), mu
         assert sum(counts) == _inertia(h, mu) == np.sum(dense < mu), mu
 
 
@@ -120,10 +128,38 @@ def test_block_counts_above_the_certified_values():
     # the block counts are checked against the inertia count, not against 16
     model = cosine_preset()
     h = _assemble_sparse(model, 50.0, 64)
-    full = _banded_eigs(h, 16)
+    blocks = _grading_blocks(model, h)
+    full = _block_eigs(blocks, 16)
     threshold = full[-1] + 1e-3
     assert np.count_nonzero(full < threshold) == 16 and _inertia(h, threshold) == 18
-    assert _graded_kernel_counts(model, h, full, threshold) == (9, 9)
+    assert _graded_kernel_counts(blocks, full, threshold) == (9, 9)
+
+
+def even_leak_model():
+    """cos(t) chat + 3e-10 I: the even part passes validate()'s 1e-9 checks, but
+    it couples the grading blocks of H_s by about 1e-10 of its largest entry."""
+    z = FourierMatrixFunction.real_terms(2, cos_terms={0: 3e-10 * np.eye(2), 1: SX})
+    return CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2), z)
+
+
+def test_even_part_of_z_fails_the_leak_check():
+    # the block solve drops H+-, so an even part of D must fail before any solve
+    model = even_leak_model()
+    model.validate()
+    with pytest.raises(CircleModelError, match="does not commute with the induced grading"):
+        _grading_blocks(model, _assemble_sparse(model, 10.0, 64))
+    with pytest.raises(CircleModelError, match="does not commute with the induced grading"):
+        convergence_report(model, [10.0, 100.0, 1000.0], 4, 64)
+
+
+def test_unpaired_blocks_fail_the_pairing_certificate():
+    # either block gives the low spectrum; H- scaled by 1.5 keeps its kernel but
+    # not its positive levels
+    plus, minus = _grading_blocks(cosine_preset(), _assemble_sparse(cosine_preset(), 10.0, 64))
+    assert np.allclose(_block_eigs((plus, minus), 10), _block_eigs((minus, plus), 10),
+                       rtol=0.0, atol=1e-9)
+    with pytest.raises(DiscretizationError, match="grading blocks are not paired: 5 and 3 "):
+        _block_eigs((plus, 1.5 * minus), 10)
 
 
 def test_inertia_next_to_a_16_fold_level():
@@ -180,9 +216,9 @@ def test_grading_count_is_basis_independent_in_degenerate_levels():
 
 
 def graded_counts(model, thresholds):
-    h = _assemble_sparse(model, 10.0, 64)
-    full = _banded_eigs(h, 24)  # the levels 0 and 2, 8- and 16-fold
-    return [_graded_kernel_counts(model, h, full, mu) for mu in thresholds]
+    blocks = _grading_blocks(model, _assemble_sparse(model, 10.0, 64))
+    full = _block_eigs(blocks, 24)  # the levels 0 and 2, 8- and 16-fold
+    return [_graded_kernel_counts(blocks, full, mu) for mu in thresholds]
 
 
 def test_graded_counts_are_basis_independent():
@@ -193,6 +229,23 @@ def test_graded_counts_are_basis_independent():
     assert unrotated[0] == (4, 4)
     for seed in range(3):
         assert graded_counts(degenerate_cosine_model(seed), thresholds) == unrotated, seed
+
+
+def test_stalled_block_solve_is_widened_to_its_cluster(monkeypatch):
+    # in the rotated degenerate model at s = 1000, the 5-value solve on H+ ends inside
+    # the 8-fold level at 1.9995 and Lanczos stalls short of it; inertia bisection
+    # widens the solve to that level
+    widened = []
+    cluster_count = localization._cluster_count
+    monkeypatch.setattr(localization, "_cluster_count",
+                        lambda h, k, low, width: widened.append(k) or cluster_count(h, k, low, width))
+    model = degenerate_cosine_model(0)
+    blocks = _grading_blocks(model, _assemble_sparse(model, 1000.0, 128))
+    low = _block_eigs(blocks, 10)
+    assert widened == [5]
+    whole = _banded_eigs(blocks[0], 12)  # the 4 kernel values and the whole level
+    assert np.max(np.abs(low - np.repeat(whole[:5], 2))) < 1e-9
+    assert np.allclose(whole, [0.0] * 4 + [1.9995] * 8, atol=1e-4)
 
 
 def test_symbol_is_checked_as_a_clifford_module():
