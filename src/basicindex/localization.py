@@ -179,22 +179,39 @@ class CircleModel:
                 raise CircleModelError(f"drift harmonic {k} is not grading-odd")
 
 
+def _graded(model: CircleModel) -> CircleModel:
+    """The model in its grading's eigenbasis, +1 eigenvectors first: the grading is diag(I, -I).
+
+    The basis change is a stable permutation of the fiber rows for a diagonal
+    grading, and otherwise one eigh rotation of the f x f coefficients.
+    """
+    w, v = np.diagonal(model.grading).real, np.eye(model.fiber_dim)
+    if np.count_nonzero(model.grading) != np.count_nonzero(w):
+        w, v = np.linalg.eigh(model.grading)
+    v = v[:, np.argsort(-w, kind="stable")]
+    symbol, grading = (v.conj().T @ m @ v for m in (model.symbol, model.grading))
+    drift, z = (FourierMatrixFunction(fn.dim, tuple((k, v.conj().T @ m @ v) for k, m in fn.coeffs))
+                for fn in (model.drift, model.perturbation))
+    return CircleModel(model.fiber_dim, symbol, grading, drift, z)
+
+
 def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_matrix:
-    """Galerkin matrix of (1/s) (C d/dt + B + s Z)^2 on modes -n_modes..n_modes."""
+    """Galerkin matrix of (1/s) (C d/dt + B + s Z)^2 on modes -n_modes..n_modes.
+
+    Fiber row a of mode j is row (a // half) m half + j half + a % half, so the
+    +1 rows of a graded model (_graded) come first.  Overflow raises DiscretizationError.
+    """
     from scipy import sparse  # scipy loads only in the commands that solve with it
 
-    model.validate()
     if s <= 0:
         raise CircleModelError("s must be positive")
     if n_modes < MIN_MODES:
         raise CircleModelError(f"n_modes must be at least {MIN_MODES}")
-    m, f = 2 * n_modes + 1, model.fiber_dim
+    m, f, half = 2 * n_modes + 1, model.fiber_dim, model.fiber_dim // 2
     modes = np.arange(-n_modes, n_modes + 1)
-    zero_order: dict[int, Array] = {}
-    for k, mat in model.drift.coeffs:
+    zero_order: dict[int, Array] = {}  # B + s Z by harmonic
+    for k, mat in model.drift.coeffs + tuple((k, s * z) for k, z in model.perturbation.coeffs):
         zero_order[k] = zero_order.get(k, 0) + mat
-    for k, mat in model.perturbation.coeffs:
-        zero_order[k] = zero_order.get(k, 0) + s * mat
     # fiber blocks of D: (j, j) holds i modes[j] C, and (j, j - k) holds the harmonic k term;
     # only the nonzero entries of each fiber matrix are placed
     rows, cols, vals = [], [], []
@@ -202,8 +219,8 @@ def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_m
     def put(j: Array, k: int, mat: Array, scale: Array | None = None) -> None:
         a, b = np.nonzero(mat)
         entries = mat[a, b] if scale is None else np.multiply.outer(scale, mat[a, b])
-        rows.append((f * j[:, None] + a).ravel())
-        cols.append((f * (j - k)[:, None] + b).ravel())
+        rows.append((half * j[:, None] + a // half * m * half + a % half).ravel())
+        cols.append((half * (j - k)[:, None] + b // half * m * half + b % half).ravel())
         vals.append(np.broadcast_to(entries, (j.size, a.size)).ravel())
 
     put(np.arange(m, dtype=np.int32), 0, model.symbol, scale=1j * modes)
@@ -212,7 +229,10 @@ def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_m
     d_op = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(m * f, m * f))
     d_op.eliminate_zeros()
-    return (d_op @ d_op).tocsr() / s
+    square = (d_op @ d_op).tocsr()
+    if not np.all(np.isfinite(square.data)):
+        raise DiscretizationError(f"(C d/dt + B + s Z)^2 overflows at s = {s:g}")
+    return square / s
 
 
 def _shifted_factor(h: sparse.csr_matrix) -> tuple[float, Array]:
@@ -307,7 +327,7 @@ def _cluster_count(h: sparse.spmatrix, k: int, low: float, width: float) -> int:
     return _inertia(h, high + width)
 
 
-def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
+def _banded_eigs(h: sparse.csr_matrix, count: int) -> tuple[Array, float, int]:
     """Lowest count eigenvalues of the banded positive semidefinite h, ascending, certified.
 
     Shift-invert Lanczos about a shift below the spectrum (_shifted_factor):
@@ -323,7 +343,8 @@ def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
     of a multiple level cannot go unseen.  A solve that stalls short of
     such a cluster is widened to the cluster around its count-th eigenvalue
     (_cluster_count).  A failed factorization, iteration or certificate
-    raises DiscretizationError, as does a count above n - 2.
+    raises DiscretizationError, as does a count above n - 2.  Returns the
+    count values with the certificate's point w[-1] + width and count there.
     """
     from scipy.linalg import cho_solve_banded
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
@@ -350,17 +371,18 @@ def _banded_eigs(h: sparse.csr_matrix, count: int) -> Array:
         if w.size == 0:
             raise DiscretizationError(f"shift-invert Lanczos converged to no eigenvalue "
                                       f"on {n} rows")
-        below = _inertia(h, float(w[-1]) + width)
+        point = float(w[-1]) + width
+        below = _inertia(h, point)
         if stalled and below < solve:  # the cluster that stalled Lanczos lies above w
-            below = _cluster_count(h, solve, float(w[-1]) + width, width)
+            below = _cluster_count(h, solve, point, width)
         if below <= solve:
             break
         solve = below
     if below != solve or w.size != solve:
         raise DiscretizationError(
-            f"{below} eigenvalues lie below {w[-1] + width:.12g} on {n} rows, "
+            f"{below} eigenvalues lie below {point:.12g} on {n} rows, "
             f"but Lanczos returned {w.size} of the {solve} asked; an eigenvalue was missed")
-    return w[:count]
+    return w[:count], point, below
 
 
 @dataclass(frozen=True)
@@ -502,37 +524,18 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _grading_blocks(model: CircleModel, h: sparse.csr_matrix
-                    ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """The grading blocks H_+ = P_+^H h P_+ and H_- = P_-^H h P_- of h, with P_+/- = I (x) U_+/-.
+def _grading_blocks(h: sparse.csr_matrix) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """The grading blocks H_+ and H_- of h assembled from a graded model (_graded): its halves.
 
-    U_+ and U_- hold the +1 and -1 eigenvectors of the grading.  For a
-    diagonal grading they are columns of I, so the blocks are rows and
-    columns selected from h, with no arithmetic; otherwise h is first
-    rotated into the grading's eigenbasis on every mode.  h must commute
-    with the grading induced on modes: the dropped block H_+- = P_+^H h P_-
-    is half the commutator in the graded basis, and an entry above
-    1e-10 max(1, max |h|) / 2 raises CircleModelError.
+    h must commute with the grading induced on modes: the dropped block H_+- is half the
+    commutator, and an entry above 1e-10 max(1, max |h|) / 2 raises CircleModelError.
     """
-    from scipy import sparse
-
-    f = model.fiber_dim
-    modes = h.shape[0] // f
-    eps = model.grading
+    n = h.shape[0] // 2
     scale = max(1.0, float(np.max(np.abs(h.data))))
-    if np.count_nonzero(eps) == np.count_nonzero(np.diagonal(eps)):
-        w = eps.diagonal().real
-    else:
-        w, v = np.linalg.eigh(eps)
-        rotation = sparse.kron(sparse.identity(modes), sparse.csr_matrix(v), format="csr")
-        h = (rotation.conj().T @ h @ rotation).tocsr()
-    rows = [(f * np.arange(modes)[:, None] + np.flatnonzero(sign * w > 0)).ravel()
-            for sign in (1, -1)]
-    plus = h[rows[0]]
-    leak = plus[:, rows[1]]
+    leak = h[:n, n:]
     if leak.nnz and 2.0 * float(np.max(np.abs(leak.data))) > 1e-10 * scale:
         raise CircleModelError("H_s does not commute with the induced grading")
-    return plus[:, rows[0]], h[rows[1]][:, rows[1]]
+    return h[:n, :n], h[n:, n:]
 
 
 def _block_eigs(blocks: tuple[sparse.csr_matrix, sparse.csr_matrix], count: int) -> Array:
@@ -543,13 +546,12 @@ def _block_eigs(blocks: tuple[sparse.csr_matrix, sparse.csr_matrix], count: int)
     spectrum, kernels included (Witten's supersymmetric pairing).  The
     lowest ceil(count / 2) eigenvalues of H_+ are solved for, certified by
     _banded_eigs, and each is reported twice.  The pairing is certified by
-    inertia: H_- must hold as many eigenvalues as H_+ below the top value
-    plus the certificate's cluster width, else DiscretizationError.
+    inertia at the certificate's own point: H_- must hold as many
+    eigenvalues as H_+ holds there, else DiscretizationError.
     """
     plus, minus = blocks
-    w = _banded_eigs(plus, -(-count // 2))
-    mu = float(w[-1]) + STABILITY_TOL * max(1.0, float(np.max(np.abs(plus.data))))
-    kp, km = _inertia(plus, mu), _inertia(minus, mu)
+    w, mu, kp = _banded_eigs(plus, -(-count // 2))
+    km = _inertia(minus, mu)
     if kp != km:
         raise DiscretizationError(
             f"grading blocks are not paired: {kp} and {km} eigenvalues lie below {mu:.12g} "
@@ -557,7 +559,7 @@ def _block_eigs(blocks: tuple[sparse.csr_matrix, sparse.csr_matrix], count: int)
     return np.repeat(w, 2)[:count]
 
 
-def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int
+def _converged_eigs(graded: CircleModel, s: float, n_modes: int, count: int
                     ) -> tuple[Array, int, tuple[sparse.csr_matrix, sparse.csr_matrix]]:
     """Eigenvalues stable under grid doubling, escalating n_modes as needed.
 
@@ -567,13 +569,12 @@ def _converged_eigs(model: CircleModel, s: float, n_modes: int, count: int
     base resolution may be insufficient for the tail of a sweep; escalation
     bounded by three doublings keeps the gate honest and errors past the cap.
     Returns the lowest max(count, 10) eigenvalues at the accepted mode count,
-    that mode count, and the grading blocks of the operator assembled there.
+    that mode count, and the grading blocks of the graded model's operator there.
     """
-    n = n_modes
-    probe = max(count, 10)
-    coarse = _block_eigs(_grading_blocks(model, _assemble_sparse(model, s, n)), probe)
+    n, probe = n_modes, max(count, 10)
+    coarse = _block_eigs(_grading_blocks(_assemble_sparse(graded, s, n)), probe)
     for _ in range(3):
-        blocks = _grading_blocks(model, _assemble_sparse(model, s, 2 * n))
+        blocks = _grading_blocks(_assemble_sparse(graded, s, 2 * n))
         fine = _block_eigs(blocks, probe)
         if float(np.max(np.abs(coarse - fine))) < STABILITY_TOL:
             return fine, 2 * n, blocks
@@ -604,14 +605,14 @@ def _graded_kernel_counts(blocks: tuple[sparse.csr_matrix, sparse.csr_matrix], f
     return kp, km
 
 
-def _model_row(model: CircleModel, s: float, n_modes: int, mu: Array,
+def _model_row(graded: CircleModel, s: float, n_modes: int, mu: Array,
                threshold: float) -> SweepRow:
     """Sweep row at s for Z with zeros: gap to the model levels mu and graded counts.
 
     Both come from the grading blocks of the one operator that grid doubling
     accepted, which are released on return.
     """
-    low, used, blocks = _converged_eigs(model, s, n_modes, mu.size)
+    low, used, blocks = _converged_eigs(graded, s, n_modes, mu.size)
     eigs = low[: mu.size]
     kp, km = _graded_kernel_counts(blocks, low, threshold)
     return SweepRow(s=s, n_modes=used, eigenvalues=eigs, gap=float(np.max(np.abs(eigs - mu))),
@@ -637,7 +638,8 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
     """
     if len(s_list) < 3 or any(b <= a for a, b in zip(s_list, s_list[1:])):
         raise CircleModelError("s_list must be increasing with at least 3 entries")
-    at_zeros = model_spectrum_at_zeros(model, count=j_max)
+    at_zeros = model_spectrum_at_zeros(model, count=j_max)  # validates the model
+    graded = _graded(model)
     rows: list[SweepRow] = []
     if at_zeros.zeros:
         # the kp + km kernel levels are exactly 0, and the next one is smallest_positive
@@ -645,7 +647,7 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
         mu = at_zeros.levels if j_max > kernel else \
             np.append(np.zeros(kernel), at_zeros.smallest_positive)
         threshold = 0.5 * at_zeros.smallest_positive
-        rows = [_model_row(model, s, n_modes, mu, threshold) for s in s_list]
+        rows = [_model_row(graded, s, n_modes, mu, threshold) for s in s_list]
         fit_point = s_list[1]
         expected = (at_zeros.kernel_dim_plus, at_zeros.kernel_dim_minus)
         for r in rows:
@@ -658,15 +660,13 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
         fitted = gaps[1] * fit_point**0.2
         bound_ok = all(r.gap <= fitted * r.s**-0.2 * (1.0 + 1e-9)
                        for r in rows if r.s >= fit_point)
-        return ConvergenceReport(tuple(rows), mu, fitted, fit_point,
-                                 monotone, bound_ok, None, None)
+        return ConvergenceReport(tuple(rows), mu, fitted, fit_point, monotone, bound_ok, None, None)
     for s in s_list:
-        low, used = _converged_eigs(model, s, n_modes, j_max)[:2]
+        low, used = _converged_eigs(graded, s, n_modes, j_max)[:2]
         rows.append(SweepRow(s=s, n_modes=used, eigenvalues=low[:j_max], gap=None,
                              spectral_index=None, kernel_plus=None, kernel_minus=None))
     growth = min(float(r.eigenvalues[0]) / r.s for r in rows)
-    return ConvergenceReport(tuple(rows), None, None, None, None, None,
-                             growth, growth > 0.0)
+    return ConvergenceReport(tuple(rows), None, None, None, None, None, growth, growth > 0.0)
 
 
 GOLDEN_STRETCH = (3.0 + math.sqrt(5.0)) / 2.0

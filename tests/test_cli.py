@@ -192,6 +192,16 @@ def test_even_part_of_z_is_a_check_failure(tmp_path):
         assert err == "check failed: H_s does not commute with the induced grading\n"
 
 
+def test_overflowing_operator_is_a_check_failure():
+    # at s = 1e300 the square of C d/dt + B + s Z overflows; it fails by name, before
+    # any non-finite entry reaches the solver
+    for fmt in ("text", "json"):
+        code, out, err = run_quiet(["localize", "carriere", "--s", "1e300,1e301,1e302",
+                                    "--format", fmt])
+        assert code == 1 and out == ""
+        assert err == "check failed: (C d/dt + B + s Z)^2 overflows at s = 1e+300\n"
+
+
 def test_linearization_defect_names_the_zero(tmp_path):
     # chat + 2 delta sigma_y passes the circle model's per-harmonic checks, but at
     # each zero Z' fails its own closure validation, which names the zero

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basicindex import (
     ClosureDatum,
@@ -265,6 +267,32 @@ def test_orientation_reversal_negates_chirality_index():
         d.holonomy,
     )
     assert local_index(flipped)[0] == -local_index(d)[0] == -1
+
+
+CORPUS_CLOSURES = {f"{name}-{d.name}": d for name in sorted(corpus_names())
+                   for d in load_corpus_scenario(name).closures}
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS_CLOSURES))
+def test_swapping_the_grading_negates_every_corpus_index(key):
+    # -eps exchanges E+ and E-, so the two invariant negative intersections trade places
+    d = CORPUS_CLOSURES[key]
+    swapped = ClosureDatum(d.name, explicit_module(list(d.module.c), -d.module.grading), d.z,
+                           d.holonomy)
+    assert local_index(swapped)[0] == -local_index(d)[0]
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS_CLOSURES))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_positive_rescaling_of_each_z_keeps_every_corpus_index(key, data):
+    # each L_j is linear in Z_j, so a positive factor keeps the sign of its every eigenvalue
+    d = CORPUS_CLOSURES[key]
+    m = d.module.m
+    scales = data.draw(st.lists(st.floats(1e-2, 1e2), min_size=m, max_size=m))
+    scaled = ClosureDatum(d.name, d.module, tuple(t * z for t, z in zip(scales, d.z)),
+                          d.holonomy)
+    assert local_index(scaled)[0] == local_index(d)[0]
 
 
 # --- brute-force oracle on the smallest modules ---

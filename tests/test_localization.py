@@ -21,6 +21,7 @@ from basicindex.localization import (
     _banded_eigs,
     _block_eigs,
     _converged_eigs,
+    _graded,
     _graded_kernel_counts,
     _grading_blocks,
     _inertia,
@@ -104,31 +105,51 @@ def test_assembled_matrix_is_psd_for_carriere():
     assert np.linalg.eigvalsh(h)[0] >= -1e-8 * np.linalg.norm(h)
 
 
+def flipped_cosine_model():
+    """cos(t) chat with the grading diag(-1, 1): the +1 fiber row comes second."""
+    return CircleModel(2, C2, -SZ, FourierMatrixFunction.zero(2),
+                       FourierMatrixFunction.real_terms(2, cos_terms={1: SX}))
+
+
+def interleaved_cosine_model():
+    """Two copies of cos(t) chat on C^2 (x) C^2, graded diag(1, -1, 1, -1)."""
+    eye2 = np.eye(2)
+    return CircleModel(4, np.kron(eye2, C2), np.kron(eye2, SZ), FourierMatrixFunction.zero(4),
+                       FourierMatrixFunction.real_terms(4, cos_terms={1: np.kron(eye2, SX)}))
+
+
 def test_grading_blocks_are_exact():
-    # the diagonal grading selects H+ and H- from H, the doubled H+ values are the
-    # low spectrum of H, and inertia(H, mu) = inertia(H+, mu) + inertia(H-, mu)
-    model = cosine_preset()
-    h = _assemble_sparse(model, 50.0, 64)
-    blocks = _grading_blocks(model, h)
-    full = _block_eigs(blocks, 16)
-    dense = np.linalg.eigvalsh(h.toarray())
-    assert np.max(np.abs(full - dense[:16])) < 1e-9
-    rows = np.tile(np.diag(model.grading).real > 0, 2 * 64 + 1)
-    for block, mask in zip(blocks, (rows, ~rows)):
-        assert (block != h[mask][:, mask]).nnz == 0
-    spectra = [np.linalg.eigvalsh(block.toarray()) for block in blocks]
-    for mu in (0.5, 1.0, 0.5 * (full[5] + full[6]), 0.5 * (full[9] + full[10])):
-        counts = _graded_kernel_counts(blocks, full, mu)
-        assert counts == tuple(int(np.sum(b < mu)) for b in spectra), mu
-        assert sum(counts) == _inertia(h, mu) == np.sum(dense < mu), mu
+    # graded, the model's grading is diag(I, -I), so H+ and H- are the diagonal halves of
+    # H and the off-diagonal halves are empty; the doubled H+ values are the low spectrum,
+    # and inertia(H, mu) = inertia(H+, mu) + inertia(H-, mu) between every two levels
+    for model in (cosine_preset(), flipped_cosine_model(), interleaved_cosine_model()):
+        graded = _graded(model)
+        half = model.fiber_dim // 2
+        assert np.array_equal(graded.grading, np.diag([1.0] * half + [-1.0] * half))
+        h = _assemble_sparse(graded, 50.0, 64)
+        n = h.shape[0] // 2
+        blocks = _grading_blocks(h)
+        full = _block_eigs(blocks, 16)
+        dense = np.linalg.eigvalsh(h.toarray())
+        assert np.max(np.abs(full - dense[:16])) < 1e-9
+        assert h[:n, n:].count_nonzero() == h[n:, :n].count_nonzero() == 0
+        for block, sign in zip(blocks, (1, -1)):
+            rows = graded_half(h, sign)[0]
+            assert (block != h[rows, rows]).nnz == 0
+        spectra = [np.linalg.eigvalsh(block.toarray()) for block in blocks]
+        between = [0.5 * (full[k - 1] + full[k]) for k in np.flatnonzero(np.diff(full) > 1.0) + 1]
+        assert len(between) >= 2
+        for mu in [0.5, 1.0] + between:
+            counts = _graded_kernel_counts(blocks, full, mu)
+            assert counts == tuple(int(np.sum(b < mu)) for b in spectra), mu
+            assert sum(counts) == _inertia(h, mu) == np.sum(dense < mu), mu
 
 
 def test_block_counts_above_the_certified_values():
     # a threshold past the 16 certified values, inside a level that holds more:
     # the block counts are checked against the inertia count, not against 16
-    model = cosine_preset()
-    h = _assemble_sparse(model, 50.0, 64)
-    blocks = _grading_blocks(model, h)
+    h = _assemble_sparse(_graded(cosine_preset()), 50.0, 64)
+    blocks = _grading_blocks(h)
     full = _block_eigs(blocks, 16)
     threshold = full[-1] + 1e-3
     assert np.count_nonzero(full < threshold) == 16 and _inertia(h, threshold) == 18
@@ -147,7 +168,7 @@ def test_even_part_of_z_fails_the_leak_check():
     model = even_leak_model()
     model.validate()
     with pytest.raises(CircleModelError, match="does not commute with the induced grading"):
-        _grading_blocks(model, _assemble_sparse(model, 10.0, 64))
+        _grading_blocks(_assemble_sparse(_graded(model), 10.0, 64))
     with pytest.raises(CircleModelError, match="does not commute with the induced grading"):
         convergence_report(model, [10.0, 100.0, 1000.0], 4, 64)
 
@@ -155,11 +176,34 @@ def test_even_part_of_z_fails_the_leak_check():
 def test_unpaired_blocks_fail_the_pairing_certificate():
     # either block gives the low spectrum; H- scaled by 1.5 keeps its kernel but
     # not its positive levels
-    plus, minus = _grading_blocks(cosine_preset(), _assemble_sparse(cosine_preset(), 10.0, 64))
+    plus, minus = _grading_blocks(_assemble_sparse(_graded(cosine_preset()), 10.0, 64))
     assert np.allclose(_block_eigs((plus, minus), 10), _block_eigs((minus, plus), 10),
                        rtol=0.0, atol=1e-9)
     with pytest.raises(DiscretizationError, match="grading blocks are not paired: 5 and 3 "):
         _block_eigs((plus, 1.5 * minus), 10)
+
+
+def test_one_sweep_validates_and_grades_the_model_once(monkeypatch):
+    # every grid of every s is assembled from the one graded model
+    calls = []
+    validate, graded = CircleModel.validate, localization._graded
+    monkeypatch.setattr(CircleModel, "validate",
+                        lambda self: calls.append("validate") or validate(self))
+    monkeypatch.setattr(localization, "_graded", lambda model: calls.append("graded") or graded(model))
+    rep = convergence_report(cosine_preset(), [10.0, 100.0, 1000.0], 4, 128)
+    assert len(rep.rows) == 3 and sorted(calls) == ["graded", "validate"]
+
+
+def test_unwidened_block_solve_factors_each_block_once(monkeypatch):
+    # the certificate's count on H+ is reused by the pairing, so H- is the only other count
+    counted = []
+    inertia = localization._inertia
+    monkeypatch.setattr(localization, "_inertia",
+                        lambda h, mu: counted.append(mu) or inertia(h, mu))
+    monkeypatch.setattr(localization, "_cluster_count", None)  # a widening would fail
+    blocks = _grading_blocks(_assemble_sparse(_graded(cosine_preset()), 10.0, 64))
+    low = _block_eigs(blocks, 10)
+    assert len(counted) == 2 and counted[0] == counted[1] > low[-1]
 
 
 def test_inertia_next_to_a_16_fold_level():
@@ -216,7 +260,7 @@ def test_grading_count_is_basis_independent_in_degenerate_levels():
 
 
 def graded_counts(model, thresholds):
-    blocks = _grading_blocks(model, _assemble_sparse(model, 10.0, 64))
+    blocks = _grading_blocks(_assemble_sparse(_graded(model), 10.0, 64))
     full = _block_eigs(blocks, 24)  # the levels 0 and 2, 8- and 16-fold
     return [_graded_kernel_counts(blocks, full, mu) for mu in thresholds]
 
@@ -234,16 +278,16 @@ def test_graded_counts_are_basis_independent():
 def test_stalled_block_solve_is_widened_to_its_cluster(monkeypatch):
     # in the rotated degenerate model at s = 1000, the 5-value solve on H+ ends inside
     # the 8-fold level at 1.9995 and Lanczos stalls short of it; inertia bisection
-    # widens the solve to that level
+    # widens the solve to that level.  Seed 2 stalls with 1-thread and multithreaded BLAS
+    # alike
     widened = []
     cluster_count = localization._cluster_count
     monkeypatch.setattr(localization, "_cluster_count",
                         lambda h, k, low, width: widened.append(k) or cluster_count(h, k, low, width))
-    model = degenerate_cosine_model(0)
-    blocks = _grading_blocks(model, _assemble_sparse(model, 1000.0, 128))
+    blocks = _grading_blocks(_assemble_sparse(_graded(degenerate_cosine_model(2)), 1000.0, 128))
     low = _block_eigs(blocks, 10)
     assert widened == [5]
-    whole = _banded_eigs(blocks[0], 12)  # the 4 kernel values and the whole level
+    whole = _banded_eigs(blocks[0], 12)[0]  # the 4 kernel values and the whole level
     assert np.max(np.abs(low - np.repeat(whole[:5], 2))) < 1e-9
     assert np.allclose(whole, [0.0] * 4 + [1.9995] * 8, atol=1e-4)
 
@@ -296,8 +340,8 @@ def test_identically_zero_perturbation_rejected():
 
 
 def test_grid_doubling_stability_at_calibration_point():
-    a = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 256), 10)
-    b = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 512), 10)
+    a = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 256), 10)[0]
+    b = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 512), 10)[0]
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -410,15 +454,19 @@ REFERENCE_CASES = [(name, s, n_modes) for name in sorted(REFERENCE_MODELS)
 
 @functools.lru_cache(maxsize=None)
 def dense_block_spectrum(name, s, n_modes, sign):
-    """np.linalg.eigvalsh of H_s on one grading block.  Every reference model has
-    grading diag(1, -1) and H_s commutes with it, so H_s is block diagonal on the
-    fiber rows and the two blocks carry its whole spectrum at a quarter of the
-    dense cost each."""
-    model = REFERENCE_MODELS[name]()
-    h = _assemble_sparse(model, s, n_modes)
-    rows = np.tile(sign * np.diag(model.grading).real > 0, 2 * n_modes + 1)
-    assert h[rows][:, ~rows].count_nonzero() == 0
-    return np.linalg.eigvalsh(h[rows][:, rows].toarray())
+    """np.linalg.eigvalsh of H_s on one grading block.  H_s of a graded model
+    commutes with its grading diag(I, -I), so H_s is block diagonal in its halves
+    and the two blocks carry its whole spectrum at a quarter of the dense cost each."""
+    h = _assemble_sparse(_graded(REFERENCE_MODELS[name]()), s, n_modes)
+    rows, rest = graded_half(h, sign)
+    assert h[rows, rest].count_nonzero() == 0
+    return np.linalg.eigvalsh(h[rows, rows].toarray())
+
+
+def graded_half(h, sign):
+    """The rows of the +1 (sign 1) or -1 grading block of a graded H_s, and the others."""
+    n = h.shape[0] // 2
+    return (slice(None, n), slice(n, None))[::sign]
 
 
 REFERENCE_THRESHOLDS = {"flat": 0.5}  # no k^2 / s of the flat sweep sits at 0.5
@@ -430,14 +478,14 @@ def test_graded_low_spectrum_matches_dense_eigvalsh(name, s, n_modes, sign):
     # per-block inertia at the spectral-index threshold and just above the cluster
     # of the 16th eigenvalue, where a Lanczos solve would end
     model = REFERENCE_MODELS[name]()
-    h = _assemble_sparse(model, s, n_modes)
-    rows = np.tile(sign * np.diag(model.grading).real > 0, 2 * n_modes + 1)
+    h = _assemble_sparse(_graded(model), s, n_modes)
+    rows = graded_half(h, sign)[0]
     dense = dense_block_spectrum(name, s, n_modes, sign)
     threshold = REFERENCE_THRESHOLDS.get(name) or \
         0.5 * model_spectrum_at_zeros(model, count=4).smallest_positive
     for mu in (threshold, dense[15] + STABILITY_TOL):
         assert np.min(np.abs(dense - mu)) > 1e-10  # no eigenvalue within round-off of mu
-        assert _inertia(h[rows][:, rows], mu) == np.sum(dense < mu), mu
+        assert _inertia(h[rows, rows], mu) == np.sum(dense < mu), mu
 
 
 @pytest.mark.parametrize("name,s,n_modes", REFERENCE_CASES)
@@ -446,5 +494,5 @@ def test_low_spectrum_matches_dense_eigvalsh(name, s, n_modes):
     # have multiplicities 2 and 4
     dense = np.sort(np.concatenate([dense_block_spectrum(name, s, n_modes, sign)
                                     for sign in (1, -1)]))
-    got = _banded_eigs(_assemble_sparse(REFERENCE_MODELS[name](), s, n_modes), 16)
+    got = _banded_eigs(_assemble_sparse(REFERENCE_MODELS[name](), s, n_modes), 16)[0]
     assert np.max(np.abs(got - dense[:16])) < 1e-9

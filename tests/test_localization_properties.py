@@ -6,11 +6,18 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from basicindex import CircleModel, FourierMatrixFunction, carriere_preset, cosine_preset
+from basicindex import (
+    CircleModel,
+    FourierMatrixFunction,
+    carriere_preset,
+    convergence_report,
+    cosine_preset,
+)
 from basicindex.localization import (
     _assemble_sparse,
     _block_eigs,
     _converged_eigs,
+    _graded,
     _graded_kernel_counts,
     _grading_blocks,
     model_spectrum_at_zeros,
@@ -51,7 +58,7 @@ def rotated(model, u):
 
 def graded_row(model, s):
     """Accepted mode count, lowest 10 eigenvalues and block counts at s from 64 base modes."""
-    low, used, blocks = _converged_eigs(model, s, 64, 4)
+    low, used, blocks = _converged_eigs(_graded(model), s, 64, 4)
     threshold = 0.5 * model_spectrum_at_zeros(model, count=4).smallest_positive
     return used, low, _graded_kernel_counts(blocks, low, threshold)
 
@@ -87,6 +94,19 @@ def test_fiber_basis_leaves_counts_modes_and_low_spectrum(case):
     assert np.max(np.abs(low - low0)) < 1e-9
 
 
+def test_sweep_of_a_fiber_rotated_model_matches_the_unrotated_sweep():
+    # the rotated grading is not diagonal, so its blocks are not fiber rows; the sweep
+    # grades the model once, and every row keeps its modes, counts and gap
+    model = rotated(cosine_preset(), unitary([0.4, 1.1, -0.7, 0.3]))
+    assert np.min(np.abs(model.grading[[0, 1], [1, 0]])) > 0.1
+    sweep = [10.0, 100.0, 1000.0]
+    rows, rows0 = (convergence_report(m, sweep, 4, 128).rows for m in (model, cosine_preset()))
+    for r, r0 in zip(rows, rows0):
+        assert (r.n_modes, r.kernel_plus, r.kernel_minus) == (r0.n_modes, r0.kernel_plus,
+                                                              r0.kernel_minus)
+        assert abs(r.gap - r0.gap) < 1e-9
+
+
 def hermitian(draw, f):
     re = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=f * f, max_size=f * f)))
     im = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=f * f, max_size=f * f)))
@@ -116,8 +136,8 @@ def test_grading_blocks_of_an_odd_model_are_isospectral(case):
     # H+ = D+^H D+ / s and H- = D+ D+^H / s with D+ square: the same spectrum,
     # kernels included, and the doubled H+ values are the low spectrum of H_s
     model, s = case
-    h = _assemble_sparse(model, s, 64)
-    blocks = _grading_blocks(model, h)
+    h = _assemble_sparse(_graded(model), s, 64)
+    blocks = _grading_blocks(h)
     plus, minus = (np.linalg.eigvalsh(b.toarray()) for b in blocks)
     scale = max(1.0, float(np.max(np.abs(h.data))))
     assert plus.size == minus.size == h.shape[0] // 2
