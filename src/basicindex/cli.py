@@ -28,6 +28,7 @@ from .local_index import (
     validate_closure,
 )
 from .localization import (
+    MAX_MODES,
     MIN_MODES,
     CircleModelError,
     DiscretizationError,
@@ -75,7 +76,7 @@ def _s_sweep(text: str) -> list[float]:
     return values
 
 
-def _int_at_least(low: int):
+def _bounded_int(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -83,6 +84,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {n}")
         return n
     return parse
 
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spectrum", cmd_spectrum, "analytic model spectrum at one closure")
     p.add_argument("scenario")
     p.add_argument("--closure", required=True)
-    p.add_argument("--count", type=_int_at_least(1), default=12)
+    p.add_argument("--count", type=_bounded_int(1), default=12)
     p.add_argument("--numerical", action="store_true",
                    help="also compare against the 1D finite-difference oracle")
     p = add("model-check", cmd_model_check, "model kernel dims vs the index formula")
@@ -313,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--s", type=_s_sweep, default="10,100,1000",
                    help="comma-separated list of at least 3 increasing positive s values")
-    p.add_argument("--modes", type=_int_at_least(MIN_MODES), default=128)
-    p.add_argument("--jmax", type=_int_at_least(1), default=4)
+    p.add_argument("--modes", type=_bounded_int(MIN_MODES, MAX_MODES), default=128)
+    p.add_argument("--jmax", type=_bounded_int(1), default=4)
     sub.add_parser("list-examples", help="enumerate bundled scenarios") \
         .set_defaults(fn=cmd_list_examples, format="text")
     p = sub.add_parser("run-corpus", help="run all bundled scenarios against "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _read_only
+from .linalg import _dense_adjoint_norms, _dense_norms, _read_only
 
 Array = np.ndarray
 
@@ -165,33 +165,17 @@ class CliffordModule:
     def validate(self, tol: float = 1e-9) -> list[str]:
         """Return a list of invariant violations (empty when the module is valid).
 
-        The checks multiply dense matrices whatever the input.  For a closure
-        whose generators, grading and Z_j are all monomial, validate_closure
-        runs the same checks, with the same messages and bound, by index
-        composition instead of calling this.
+        The checks are the rows of _module_rows, walked by the dense product
+        kernel and read by _module_report.  validate_closure runs the same
+        rows at the head of its closure plan, with either product kernel.
         """
         problems = _shape_problems(self)
         if problems:
             return problems
-        eye = np.eye(self.dim)
-        for j, cj in enumerate(self.c, start=1):
-            if np.linalg.norm(cj + cj.conj().T) > tol:
-                problems.append(f"c_{j} is not skew-Hermitian")
-        for j in range(self.m):
-            for k in range(j, self.m):
-                anti = self.c[j] @ self.c[k] + self.c[k] @ self.c[j]
-                target = -2.0 * eye if j == k else 0.0
-                if np.linalg.norm(anti - target) > tol:
-                    problems.append(f"Clifford relation fails for (c_{j + 1}, c_{k + 1})")
-        eps = self.grading
-        if np.linalg.norm(eps - eps.conj().T) > tol:
-            problems.append("grading is not Hermitian")
-        if np.linalg.norm(eps @ eps - eye) > tol:
-            problems.append("grading is not an involution")
-        for j, cj in enumerate(self.c, start=1):
-            if np.linalg.norm(eps @ cj + cj @ eps) > tol:
-                problems.append(f"c_{j} is not odd with respect to the grading")
-        return problems
+        *rows, signs = _module_rows(self.m)
+        mats = [*self.c, self.grading]
+        viol = _dense_norms(mats, *rows)[0].tolist()
+        return _module_report(self.m, viol, _dense_adjoint_norms(mats, signs).tolist(), tol)
 
 
 def _shape_problems(mod: CliffordModule) -> list[str]:
@@ -208,17 +192,19 @@ def _shape_problems(mod: CliffordModule) -> list[str]:
 
 @functools.lru_cache(maxsize=None)
 def _module_rows(m: int) -> tuple[Array, ...]:
-    """Rows (a, b, wp, wq, lam) of one batched sum over the stack (c_1..c_m, eps),
-    wp a b + wq b a + lam I: c_j c_k + c_k c_j + 2 delta_jk I (j <= k), then
-    eps c_j + c_j eps, then eps eps - I; and the signs of c_j + c_j^H and
-    eps - eps^H."""
+    """The module checks as an index plan over the stack (c_1..c_m, eps): rows
+    (a, b, wp, wq, lam, ref) of wp a b + wq b a + lam I, namely
+    c_j c_k + c_k c_j + 2 delta_jk I (j <= k), then eps c_j + c_j eps, then
+    eps eps - I, with no ref (-1); and the signs of c_j + c_j^H and
+    eps - eps^H.  The closure plan (local_index._closure_rows) starts with
+    these rows."""
     gen, eps = np.arange(m), np.full(m, m)
     j, k = np.triu_indices(m)
     ones = np.ones(len(j) + m)
     return _read_only(np.concatenate([j, eps, [m]]), np.concatenate([k, gen, [m]]),
                       np.append(ones, 1.0), np.append(ones, 0.0),
                       np.concatenate([np.where(j == k, 2.0, 0.0), np.zeros(m), [-1.0]]),
-                      np.append(np.ones(m), -1.0))
+                      np.full(len(j) + m + 1, -1), np.append(np.ones(m), -1.0))
 
 
 def _module_report(m: int, viol: list[float], adjoint: list[float], tol: float) -> list[str]:

@@ -6,8 +6,12 @@ refinement, orthonormal subspaces, intersections, and null spaces.  All
 functions are pure; identical inputs give identical outputs within one build
 (eigenvector phases are normalized deterministically).
 
-The private monomial form below carries the matrices of exterior modules,
-which have at most one nonzero per row, so that products cost a gather.
+The private product kernels below evaluate an index plan of rows
+wp A_a A_b + wq A_b A_a + lam I, and of A_k + sign A_k^H, by Frobenius norm:
+_dense_norms walks dense matrices one row at a time, and _monomial_norms
+batches all rows over the monomial form, which carries the matrices of
+exterior modules (at most one nonzero per row), so that a product costs a
+gather.
 """
 
 from __future__ import annotations
@@ -86,12 +90,6 @@ def _product(base: _Monomial, a: Array, b: Array, w: Array | None = None) -> _Mo
     return _Monomial(base.cols[at], vals if w is None else w[:, None] * vals)
 
 
-def _brackets(base: _Monomial, a: Array, b: Array, wp: Array, wq: Array
-              ) -> tuple[_Monomial, _Monomial]:
-    """Row n: wp[n] base[a[n]] @ base[b[n]] and wq[n] base[b[n]] @ base[a[n]]."""
-    return _product(base, a, b, wp), _product(base, b, a, wq)
-
-
 def _read_only(*arrays: Array) -> tuple[Array, ...]:
     for a in arrays:
         a.setflags(write=False)
@@ -130,6 +128,57 @@ def _adjoint_norms(a: _Monomial, signs: Array) -> Array:
     paired = cols[at] == np.arange(cols.shape[-1])
     merged = vals + np.where(paired, signs[:, None] * vals[at].conj(), 0.0)
     return _row_norms(merged.view(float), np.where(paired, 0.0, vals).view(float))
+
+
+def _monomial_norms(base: _Monomial, a: Array, b: Array, wp: Array, wq: Array, lam: Array,
+                    ref: Array) -> tuple[Array, Array]:
+    """_dense_norms over the monomial stack base, every row in one batch."""
+    p, q = _product(base, a, b, wp), _product(base, b, a, wq)
+    own = np.flatnonzero(ref == np.arange(len(ref)))
+    rows = np.arange(p.cols.shape[-1])
+    trace = (np.where(p.cols[own] == rows, p.vals[own], 0.0)
+             + np.where(q.cols[own] == rows, q.vals[own], 0.0)).sum(axis=-1)
+    scalars = np.zeros(len(ref))
+    scalars[own] = (trace / len(rows)).real
+    return _norms(p, q, np.where(ref < 0, lam, -scalars[ref])), scalars
+
+
+def _dense_norms(mats: list[Array], a: Array, b: Array, wp: Array, wq: Array, lam: Array,
+                 ref: Array) -> tuple[Array, Array]:
+    """Frobenius norm of each wp[n] A_a A_b + wq[n] A_b A_a + lam[n] I, A_i = mats[i].
+
+    The rows are walked one at a time, in order, as wp (A_a A_b + wq / wp A_b A_a)
+    with wp != 0: a zero wq skips its product, and a unit weight its scaling.
+    Where ref[n] >= 0, lam[n] is replaced by minus the scalar trace / dim of
+    row ref[n]: the row's own when ref[n] == n, else one already walked.
+    Returns the norms and each row's own scalar (0 for the other rows).
+    """
+    diag = np.diag_indices(mats[0].shape[0])
+    norms, scalars = np.zeros(len(a)), np.zeros(len(a))
+    for n in range(len(a)):
+        x = mats[a[n]] @ mats[b[n]]
+        if wq[n]:
+            y = mats[b[n]] @ mats[a[n]]
+            if wq[n] == -wp[n]:
+                x -= y
+            else:
+                x += y if wq[n] == wp[n] else wq[n] / wp[n] * y
+        if wp[n] != 1:
+            x *= wp[n]
+        r = ref[n]
+        if r == n:
+            scalars[n] = (np.trace(x) / len(x)).real
+        shift = lam[n] if r < 0 else -scalars[r]
+        if shift:
+            x[diag] += shift
+        norms[n] = np.linalg.norm(x)
+    return norms, scalars
+
+
+def _dense_adjoint_norms(mats: list[Array], signs: Array) -> Array:
+    """Frobenius norm of each A_k + signs[k] A_k^H, A_k = mats[k], signs[k] = +-1."""
+    return np.array([np.linalg.norm(a + a.conj().T if s > 0 else a - a.conj().T)
+                     for a, s in zip(mats, signs)])
 
 
 def _fix_phases(v: Array) -> Array:

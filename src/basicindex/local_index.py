@@ -17,12 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliff import (
-    CliffordModule,
-    _module_report,
-    _module_rows,
-    _shape_problems,
-)
+from .cliff import CliffordModule, _module_report, _module_rows, _shape_problems
 from .holonomy import HolonomyGroup, NotInvariantError, check_equivariance, invariant_dim_in
 from .linalg import (
     INTERSECTION_TOL,
@@ -31,11 +26,11 @@ from .linalg import (
     LinalgError,
     Subspace,
     _adjoint_norms,
-    _brackets,
     _concat,
-    _Monomial,
+    _dense_adjoint_norms,
+    _dense_norms,
     _monomial,
-    _norms,
+    _monomial_norms,
     _product,
     _read_only,
     _row_norms,
@@ -114,45 +109,20 @@ class ClosureValidation:
         return "\n".join(lines)
 
 
-def _dense_gram(z: tuple[Array, ...]) -> tuple[Array, float]:
-    m, dim = len(z), z[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    gram = np.zeros((m, m))
-    worst = 0.0
-    for j in range(m):
-        for k in range(j, m):
-            anti = 0.5 * (z[j] @ z[k] + z[k] @ z[j])
-            scalar = float((np.trace(anti) / dim).real)
-            worst = max(worst, float(np.linalg.norm(anti - scalar * eye)))
-            gram[j, k] = gram[k, j] = scalar
-    return gram, worst
-
-
-def _gram_rows(p: _Monomial, q: _Monomial, j: Array, k: Array, m: int
-               ) -> tuple[Array, Array]:
-    """G from the rows p + q = (Z_j Z_k + Z_k Z_j)/2, and the scalar of each
-    row, trace / dim."""
-    rows = np.arange(p.cols.shape[-1])
-    trace = (np.where(p.cols == rows, p.vals, 0.0)
-             + np.where(q.cols == rows, q.vals, 0.0)).sum(axis=-1)
-    scalars = (trace / len(rows)).real
-    gram = np.zeros((m, m))
-    gram[j, k] = gram[k, j] = scalars
-    return gram, scalars
-
-
 class _ClosureRows(NamedTuple):
-    """Index plan of _monomial_checks for m generators, built once per m.
+    """The closure checks as one index plan for m generators, built once per m.
 
-    The rows (a, b, wp, wq, lam) of one batched sum wp a b + wq b a + lam I
-    over the stack (c_1..c_m, eps, Z_1..Z_m, L_1..L_m) are, in order:
+    Both product kernels, linalg._dense_norms and linalg._monomial_norms,
+    evaluate its rows (a, b, wp, wq, lam, ref): wp a b + wq b a + lam I over
+    the stack (c_1..c_m, eps, Z_1..Z_m, L_1..L_m), in order
     _module_rows' rows | eps Z_j + Z_j eps | c_j Z_j + Z_j c_j |
     c_k Z_j + Z_j c_k (k != j) | (Z_j Z_k + Z_k Z_j) / 2 - G_jk I (j <= k) |
     L_j eps - eps L_j | L_j L_j - g_jj I | L_j L_k - L_k L_j (j < k).
-    lam holds the module rows' values and zeros where G enters.
+    ref marks where G enters: a gram row subtracts its own scalar
+    trace / dim, and the row of L_j L_j that of the gram row (j, j).
     """
 
-    rows: tuple[Array, Array, Array, Array, Array]
+    rows: tuple[Array, Array, Array, Array, Array, Array]
     parts: tuple[slice, ...]  # the eight groups of rows above
     gram: tuple[Array, Array]  # (j, k), j <= k
     pairs: tuple[Array, Array]  # (j, k), j < k
@@ -166,7 +136,7 @@ def _closure_rows(m: int) -> _ClosureRows:
     j, k = np.nonzero(~np.eye(m, dtype=bool))
     gj, gk = np.triu_indices(m)
     pj, pk = np.triu_indices(m, 1)
-    ma, mb, mwp, mwq, mlam, msigns = _module_rows(m)
+    ma, mb, mwp, mwq, mlam, _, msigns = _module_rows(m)
     a = [ma, eps, c, c[k], z[gj], lm, lm, lm[pj]]
     b = [mb, z, z, z[j], z[gk], eps, lm, lm[pk]]
     wq = [mwq, np.ones(2 * m + len(j)), np.full(len(gj), 0.5), -np.ones(m), np.zeros(m),
@@ -177,78 +147,14 @@ def _closure_rows(m: int) -> _ClosureRows:
     wp[ends[3]:ends[4]] = 0.5
     lam = np.zeros(ends[-1])
     lam[:len(ma)] = mlam
+    ref = np.full(ends[-1], -1)
+    ref[ends[3]:ends[4]] = np.arange(ends[3], ends[4])
+    ref[ends[5]:ends[6]] = ends[3] + np.flatnonzero(gj == gk)
     return _ClosureRows(
-        rows=_read_only(np.concatenate(a), np.concatenate(b), wp, np.concatenate(wq), lam),
+        rows=_read_only(np.concatenate(a), np.concatenate(b), wp, np.concatenate(wq), lam, ref),
         parts=tuple(slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)),
         gram=_read_only(gj, gk), pairs=_read_only(pj, pk),
         signs=_read_only(np.append(msigns, -np.ones(2 * m)))[0])
-
-
-class _Violations(NamedTuple):
-    """The closure checks' raw numbers, from dense or monomial products."""
-
-    scale: float  # max(1, ||Z_j||)
-    herm: float
-    odd: float
-    diag_anti: float
-    off: float  # all-pairs symbol anticommutation
-    gram: Array
-    gram_dev: float
-    l_ops: tuple[Array, ...]
-    l_parts: tuple[Array, Array, Array, Array]  # see _worst_l_violation
-
-
-def _dense_violations(mod: CliffordModule, z: tuple[Array, ...]) -> _Violations:
-    m, eps, c = mod.m, mod.grading, mod.c
-    off = 0.0
-    for j in range(m):
-        for k in range(m):
-            if k != j:
-                off = max(off, float(np.linalg.norm(c[k] @ z[j] + z[j] @ c[k])))
-    gram, gram_dev = _dense_gram(z)
-    l_ops = [c[j] @ z[j] for j in range(m)]
-    eye = np.eye(mod.dim, dtype=complex)
-    comm = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            comm[j, k] = np.linalg.norm(l_ops[j] @ l_ops[k] - l_ops[k] @ l_ops[j])
-    return _Violations(
-        scale=max([1.0] + [float(np.linalg.norm(zj)) for zj in z]),
-        herm=max(float(np.linalg.norm(zj - zj.conj().T)) for zj in z),
-        odd=max(float(np.linalg.norm(eps @ zj + zj @ eps)) for zj in z),
-        diag_anti=max(float(np.linalg.norm(c[j] @ z[j] + z[j] @ c[j])) for j in range(m)),
-        off=off, gram=gram, gram_dev=gram_dev, l_ops=tuple(l_ops),
-        l_parts=(np.array([np.linalg.norm(lj - lj.conj().T) for lj in l_ops]),
-                 np.array([np.linalg.norm(lj @ eps - eps @ lj) for lj in l_ops]),
-                 np.array([np.linalg.norm(lj @ lj - gram[j, j] * eye)
-                           for j, lj in enumerate(l_ops)]),
-                 comm))
-
-
-def _monomial_checks(base: _Monomial, tol: float) -> tuple[list[str], _Violations]:
-    """The module problems and _dense_violations' numbers from the monomial form
-    of (c_1, ..., c_m, grading, Z_1, ..., Z_m), in one batched round of products."""
-    m = len(base.cols) // 2
-    plan = _closure_rows(m)
-    c = np.arange(m)
-    base = _concat(base, _product(base, c, c + m + 1))  # L_j = c_j Z_j
-    p, q = _brackets(base, *plan.rows[:4])
-    module, odd, diag_anti, off, gram_rows, grade, square, comm_rows = plan.parts
-    gram, scalars = _gram_rows(p.take(gram_rows), q.take(gram_rows), *plan.gram, m)
-    lam = plan.rows[4].copy()
-    lam[gram_rows] = -scalars
-    lam[square] = -np.diag(gram)
-    viol = _norms(p, q, lam).tolist()
-    adjoint = _adjoint_norms(base, plan.signs).tolist()
-    comm = np.zeros((m, m))
-    comm[plan.pairs] = viol[comm_rows]
-    z = slice(m + 1, 2 * m + 1)
-    return _module_report(m, viol[module], adjoint[:m + 1], tol), _Violations(
-        scale=max(1.0, float(_row_norms(base.vals[z].view(float)).max())),
-        herm=max(adjoint[z]), odd=max(viol[odd]), diag_anti=max(viol[diag_anti]),
-        off=max(viol[off], default=0.0), gram=gram, gram_dev=max(viol[gram_rows]),
-        l_ops=tuple(base.take(slice(2 * m + 1, None)).dense()),
-        l_parts=(adjoint[2 * m + 1:], viol[grade], viol[square], comm))
 
 
 def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValidation:
@@ -265,13 +171,13 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     does any perturbation whose anticommutator with the operator is merely
     bounded.  Equivariance defects are likewise warnings.
 
-    When the c_j, the grading and the Z_j all have at most one nonzero per
-    row (exterior modules with hat_linear perturbations), one nonzero count
-    over them selects index composition: the module and closure checks run
-    as one batch over all (j, k) pairs in O(m^2 dim).  Otherwise the module
-    goes through CliffordModule.validate and the Z_j checks, both multiplying
-    dense matrices in O(m^2 dim^3).  Both paths give every check the same
-    name, severity, bound and note.
+    The module and Z_j checks are one index plan (_closure_rows), read by one
+    assembly.  When the c_j, the grading and the Z_j all have at most one
+    nonzero per row (exterior modules with hat_linear perturbations), the
+    monomial kernel evaluates the plan by index composition in O(m^2 dim);
+    otherwise the dense kernel multiplies matrices in O(m^2 dim^3).  When a
+    shape is wrong, only the module's own checks (CliffordModule.validate)
+    run.
     """
     checks: list[ValidationCheck] = []
     mod = d.module
@@ -281,35 +187,46 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     def add(name, severity, violation, threshold, note=""):
         checks.append(ValidationCheck(name, severity, violation <= threshold, violation, note))
 
+    def add_problems(name, problems):
+        add(name, "hard", float(len(problems)), 0.0, "; ".join(problems))
+
     shape_problems = _shape_problems(mod)
-    z_shaped = len(d.z) == m and all(zj.shape == (dim, dim) for zj in d.z)
-    base = None if shape_problems or not z_shaped else _monomial([*mod.c, eps, *d.z])
+    if shape_problems or len(d.z) != m or any(zj.shape != (dim, dim) for zj in d.z):
+        add_problems("module_clifford_relations", mod.validate(tol))
+        if not shape_problems:
+            add_problems("perturbation_shapes", [f"expected {m} matrices of shape {(dim, dim)}"])
+        return ClosureValidation(d.name, tuple(checks), np.zeros((m, m)))
+
+    plan = _closure_rows(m)
+    mats = [*mod.c, eps, *d.z]
+    base = _monomial(mats)
+    z, l = slice(m + 1, 2 * m + 1), slice(2 * m + 1, None)
     if base is None:
-        module_problems = mod.validate(tol)
+        mats += [mats[j] @ mats[m + 1 + j] for j in range(m)]  # L_j = c_j Z_j
+        viol, scalars = _dense_norms(mats, *plan.rows)
+        adjoint = _dense_adjoint_norms(mats, plan.signs)
+        l_ops, size = tuple(mats[l]), [np.linalg.norm(zj) for zj in d.z]
     else:
-        module_problems, v = _monomial_checks(base, tol)
-    checks.append(ValidationCheck(
-        "module_clifford_relations", "hard", not module_problems, float(len(module_problems)),
-        "; ".join(module_problems)))
-    if shape_problems:
-        return ClosureValidation(d.name, tuple(checks), np.zeros((m, m)))
+        c = np.arange(m)
+        base = _concat(base, _product(base, c, c + m + 1))
+        viol, scalars = _monomial_norms(base, *plan.rows)
+        adjoint = _adjoint_norms(base, plan.signs)
+        l_ops, size = tuple(base.take(l).dense()), _row_norms(base.vals[z].view(float))
+    viol, adjoint = viol.tolist(), adjoint.tolist()
+    module, odd, diag_anti, off, gram_rows, grade, square, comm_rows = plan.parts
+    add_problems("module_clifford_relations", _module_report(m, viol[module], adjoint[:m + 1], tol))
+    add_problems("perturbation_shapes", [])
 
-    if not z_shaped:
-        checks.append(ValidationCheck("perturbation_shapes", "hard", False, 1.0,
-                                      f"expected {m} matrices of shape {(dim, dim)}"))
-        return ClosureValidation(d.name, tuple(checks), np.zeros((m, m)))
-    checks.append(ValidationCheck("perturbation_shapes", "hard", True, 0.0))
-
-    if base is None:
-        v = _dense_violations(mod, d.z)
-    scale = v.scale
-    add("perturbation_hermitian", "hard", v.herm, tol * scale)
-    add("perturbation_odd", "hard", v.odd, tol * scale)
-    add("clifford_form_diagonal_anticommutation", "hard", v.diag_anti, tol * scale)
-    add("symbol_anticommutation_all_pairs", "warning", v.off, tol * scale,
+    scale, herm = float(max([1.0, *size])), max(adjoint[z])
+    add("perturbation_hermitian", "hard", herm, tol * scale)
+    add("perturbation_odd", "hard", max(viol[odd]), tol * scale)
+    add("clifford_form_diagonal_anticommutation", "hard", max(viol[diag_anti]), tol * scale)
+    add("symbol_anticommutation_all_pairs", "warning", max(viol[off], default=0.0), tol * scale,
         "zeroth-order condition; first-order anticommutators still localize")
 
-    gram, gram_dev = v.gram, v.gram_dev
+    gram = np.zeros((m, m))
+    gram[plan.gram] = gram[plan.gram[::-1]] = scalars[gram_rows]
+    gram_dev = max(viol[gram_rows])
     add("gram_scalar", "hard", gram_dev, tol * max(1.0, scale**2))
     gram_eigs = np.linalg.eigvalsh(gram)
     lam_min = float(gram_eigs[0])
@@ -319,13 +236,14 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
                                   max(0.0, spd_cutoff - lam_min),
                                   f"eigenvalue range [{gram_eigs[0]:.3e}, {gram_eigs[-1]:.3e}]"))
 
-    l_viol, l_note = _worst_l_violation(*v.l_parts)
+    comm = np.zeros((m, m))
+    comm[plan.pairs] = viol[comm_rows]
+    l_viol, l_note = _worst_l_violation(adjoint[l], viol[grade], viol[square], comm)
     add("commuting_operators", "hard", l_viol, tol * max(1.0, float(np.linalg.norm(gram))),
         l_note)
 
     hol_problems = d.holonomy.validate(dim, tol)
-    checks.append(ValidationCheck("holonomy_matrices", "hard", not hol_problems,
-                                  float(len(hol_problems)), "; ".join(hol_problems)))
+    add_problems("holonomy_matrices", hol_problems)
     if not hol_problems:
         grading_comm = 0.0
         for _, rho in d.holonomy.components:
@@ -343,10 +261,10 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
         bound = lam_min - m * gram_dev
         gap = max(0.0, math.sqrt(lam_min) * (1.0 - tol) - math.sqrt(max(bound, 0.0)))
         checks.append(ValidationCheck(
-            "nondegenerate_off_closure", "hard", v.herm <= tol * scale and gap <= tol * scale,
+            "nondegenerate_off_closure", "hard", herm <= tol * scale and gap <= tol * scale,
             gap, "smallest singular value of sum sigma_j Z_j vs sqrt(min eig G)"))
 
-    return ClosureValidation(d.name, tuple(checks), gram, v.l_ops)
+    return ClosureValidation(d.name, tuple(checks), gram, l_ops)
 
 
 def _worst_l_violation(herm: Array, grade: Array, square: Array, comm: Array

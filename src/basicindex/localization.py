@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 MIN_MODES = 64  # smallest Galerkin truncation n_modes that assembly accepts
+MAX_MODES = 4096  # largest n_modes that assembly accepts; grid doubling stops there
 STABILITY_TOL = 1e-8  # grid-doubling gate; times max |H_s|, the Lanczos certificate's cluster width
 SHIFT = 1e-2  # H_s is positive semidefinite, so H_s + SHIFT I is positive definite
 SHIFT_RTOL = 1e-8  # relative bracket width at which a raised shift stops bisecting
@@ -207,6 +208,8 @@ def _assemble_sparse(model: CircleModel, s: float, n_modes: int) -> sparse.csr_m
         raise CircleModelError("s must be positive")
     if n_modes < MIN_MODES:
         raise CircleModelError(f"n_modes must be at least {MIN_MODES}")
+    if n_modes > MAX_MODES:
+        raise CircleModelError(f"n_modes must be at most {MAX_MODES}")
     m, f, half = 2 * n_modes + 1, model.fiber_dim, model.fiber_dim // 2
     modes = np.arange(-n_modes, n_modes + 1)
     zero_order: dict[int, Array] = {}  # B + s Z by harmonic
@@ -567,13 +570,16 @@ def _converged_eigs(graded: CircleModel, s: float, n_modes: int, count: int
     once doubling moves the lowest eigenvalues by less than STABILITY_TOL.
     Localized eigenfunctions at large s need mode counts ~ s^(1/2), so the
     base resolution may be insufficient for the tail of a sweep; escalation
-    bounded by three doublings keeps the gate honest and errors past the cap.
+    bounded by three doublings and by MAX_MODES keeps the gate honest and
+    errors past the cap.
     Returns the lowest max(count, 10) eigenvalues at the accepted mode count,
     that mode count, and the grading blocks of the graded model's operator there.
     """
     n, probe = n_modes, max(count, 10)
     coarse = _block_eigs(_grading_blocks(_assemble_sparse(graded, s, n)), probe)
     for _ in range(3):
+        if 2 * n > MAX_MODES:
+            break
         blocks = _grading_blocks(_assemble_sparse(graded, s, 2 * n))
         fine = _block_eigs(blocks, probe)
         if float(np.max(np.abs(coarse - fine))) < STABILITY_TOL:
@@ -581,8 +587,9 @@ def _converged_eigs(graded: CircleModel, s: float, n_modes: int, count: int
         n, coarse = 2 * n, fine
         del blocks  # released before the next, larger assembly
     raise DiscretizationError(
-        f"eigenvalues not stable under grid doubling at s = {s:g} up to "
-        f"{2 * n} modes; rerun with a larger --modes value")
+        f"eigenvalues not stable under grid doubling at s = {s:g} up to {2 * n} modes; "
+        + ("rerun with a larger --modes value" if 2 * n <= MAX_MODES else
+           f"no grid beyond n_modes = {MAX_MODES} is assembled"))
 
 
 def _graded_kernel_counts(blocks: tuple[sparse.csr_matrix, sparse.csr_matrix], full: Array,

@@ -94,3 +94,23 @@ def rotated_closure(m, rng):
     z = tuple(conj(t[j] * clifford_hat(np.eye(m)[j], m)) for j in range(m))
     module = explicit_module([conj(c) for c in ext.c], conj(ext.grading))
     return ClosureDatum(f"rotated_m{m}", module, z, HolonomyGroup.trivial_group(m))
+
+
+def hat_closure(m, scales):
+    """Exterior parity datum with Z_j = scales[j] chat(e_j) and trivial holonomy."""
+    module = exterior_module(m, "parity")
+    z = tuple(s * clifford_hat(np.eye(m)[j], m) for j, s in enumerate(scales))
+    return ClosureDatum(f"hat_m{m}", module, z, HolonomyGroup.trivial_group(m))
+
+
+def conjugated(d, u):
+    """d written in the basis u: every module matrix a becomes u a u^H."""
+    def conj(a):
+        return u @ a @ u.conj().T
+
+    hol = d.holonomy
+    return ClosureDatum(
+        d.name, explicit_module([conj(c) for c in d.module.c], conj(d.module.grading)),
+        tuple(conj(z) for z in d.z),
+        HolonomyGroup(hol.m, tuple((x, conj(dx)) for x, dx in hol.infinitesimal),
+                      tuple((g, conj(rho)) for g, rho in hol.components)))

@@ -22,7 +22,15 @@ from basicindex import (
     validate_closure,
     wedge_op,
 )
-from closure_builders import carriere_closure, cp2_closure, rotated_closure, sphere_closure
+from basicindex.linalg import _monomial
+from closure_builders import (
+    carriere_closure,
+    conjugated,
+    cp2_closure,
+    random_unitary,
+    rotated_closure,
+    sphere_closure,
+)
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -294,6 +302,51 @@ def test_positive_rescaling_of_each_z_keeps_every_corpus_index(key, data):
                           d.holonomy)
     assert local_index(scaled)[0] == local_index(d)[0]
 
+
+
+def direct_sum(a, b):
+    """a (+) b: block-diagonal generators, grading, Z_j and holonomy actions."""
+    def block(x, y):
+        out = np.zeros((len(x) + len(y),) * 2, dtype=complex)
+        out[:len(x), :len(x)], out[len(x):, len(x):] = x, y
+        return out
+
+    ha, hb = a.holonomy, b.holonomy
+    return ClosureDatum(
+        a.name, explicit_module([block(x, y) for x, y in zip(a.module.c, b.module.c)],
+                                block(a.module.grading, b.module.grading)),
+        tuple(block(x, y) for x, y in zip(a.z, b.z)),
+        HolonomyGroup(ha.m, tuple((x, block(dx, dy)) for (x, dx), (_, dy)
+                                  in zip(ha.infinitesimal, hb.infinitesimal)),
+                      tuple((g, block(ra, rb)) for (g, ra), (_, rb)
+                            in zip(ha.components, hb.components))))
+
+
+def swap_grading(d):
+    return ClosureDatum(d.name, explicit_module(list(d.module.c), -d.module.grading), d.z,
+                        d.holonomy)
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS_CLOSURES))
+def test_direct_sums_add_local_indices(key):
+    # every L_j of a (+) b is block diagonal and the holonomy acts blockwise, so the
+    # invariant negative intersections split into those of a and b.  a (+) a stays
+    # monomial, a (+) U a U^H is dense, and a (+) swap(a) cancels
+    d = CORPUS_CLOSURES[key]
+    ind = local_index(d)[0]
+    rotated = conjugated(d, random_unitary(np.random.default_rng(3), d.module.dim))
+    for other, monomial, expected in [(d, True, 2 * ind), (rotated, False, 2 * ind),
+                                      (swap_grading(d), True, 0)]:
+        total = direct_sum(d, other)
+        assert (_monomial([*total.module.c, total.module.grading, *total.z]) is not None
+                ) == monomial
+        assert local_index(total)[0] == expected
+
+
+def test_direct_sum_with_another_gram_fails_gram_scalar():
+    # G of a (+) b is scalar only when a and b share it
+    total = direct_sum(cp2_closure(0.8, 2.1), cp2_closure(1.3, 2.1))
+    assert "gram_scalar" in failed_names(validate_closure(total))
 
 # --- brute-force oracle on the smallest modules ---
 

@@ -16,6 +16,7 @@ from basicindex import (
 )
 from basicindex import localization
 from basicindex.localization import (
+    MAX_MODES,
     STABILITY_TOL,
     _assemble_sparse,
     _banded_eigs,
@@ -290,6 +291,55 @@ def test_stalled_block_solve_is_widened_to_its_cluster(monkeypatch):
     whole = _banded_eigs(blocks[0], 12)[0]  # the 4 kernel values and the whole level
     assert np.max(np.abs(low - np.repeat(whole[:5], 2))) < 1e-9
     assert np.allclose(whole, [0.0] * 4 + [1.9995] * 8, atol=1e-4)
+
+
+def test_injected_stall_is_widened_to_its_cluster(monkeypatch):
+    # the first Lanczos solve on H+ of the unrotated degenerate model at s = 1000 is made
+    # to stall with only the 4 kernel values, short of the 8-fold level at 1.9995, so the
+    # widening runs whatever the round-off; it must give the solve without the stall
+    from scipy.sparse import linalg as sparse_linalg
+
+    blocks = _grading_blocks(_assemble_sparse(_graded(degenerate_cosine_model(None)), 1000.0, 128))
+    unstalled = _block_eigs(blocks, 10)
+    eigsh, stalls, widened = sparse_linalg.eigsh, [], []
+
+    def stalling(*args, **kwargs):
+        w = np.sort(eigsh(*args, **kwargs))
+        if stalls:
+            return w
+        stalls.append(w)
+        raise sparse_linalg.ArpackNoConvergence("injected stall", w[:4], None)
+
+    cluster_count = localization._cluster_count
+    monkeypatch.setattr(sparse_linalg, "eigsh", stalling)
+    monkeypatch.setattr(localization, "_cluster_count",
+                        lambda h, k, low, width: widened.append(k) or cluster_count(h, k, low, width))
+    low = _block_eigs(blocks, 10)
+    assert widened == [5] and len(stalls) == 1
+    assert np.max(stalls[0][:4]) < 1e-6 and abs(stalls[0][4] - 1.9995) < 1e-4
+    assert np.array_equal(low, unstalled)
+
+
+def test_assembly_rejects_more_than_max_modes():
+    with pytest.raises(CircleModelError, match=f"at most {MAX_MODES}"):
+        _assemble_sparse(cosine_preset(), 10.0, MAX_MODES + 1)
+
+
+@pytest.mark.parametrize("base,grids,advice", [
+    (128, [128, 256, 512, 1024], "rerun with a larger --modes value"),
+    (MAX_MODES // 2, [MAX_MODES // 2, MAX_MODES], f"no grid beyond n_modes = {MAX_MODES}"),
+])
+def test_grid_doubling_stops_at_max_modes(monkeypatch, base, grids, advice):
+    # values that never settle: doubling runs three times or up to MAX_MODES, and the
+    # advice to raise --modes is given only while a larger base reaches a finer grid
+    assembled = []
+    monkeypatch.setattr(localization, "_assemble_sparse",
+                        lambda model, s, n: assembled.append(n) or n)
+    monkeypatch.setattr(localization, "_grading_blocks", lambda n: n)
+    monkeypatch.setattr(localization, "_block_eigs", lambda n, count: np.full(count, float(n)))
+    with pytest.raises(DiscretizationError, match=advice):
+        _converged_eigs(None, 10.0, base, 4)
+    assert assembled == grids
 
 
 def test_symbol_is_checked_as_a_clifford_module():

@@ -14,11 +14,8 @@ import pytest
 
 from basicindex import (
     ClosureDatum,
-    HolonomyGroup,
     LinalgError,
-    clifford_hat,
     explicit_module,
-    exterior_module,
     global_index,
     joint_eig,
     local_index,
@@ -27,29 +24,17 @@ from basicindex import (
     validate_closure,
 )
 from basicindex.linalg import _monomial
-from closure_builders import carriere_closure, cp2_closure, random_unitary, sphere_closure
+from closure_builders import (
+    carriere_closure,
+    conjugated,
+    cp2_closure,
+    hat_closure,
+    random_unitary,
+    sphere_closure,
+)
 
 engine = importlib.import_module("basicindex.local_index")
 linalg = importlib.import_module("basicindex.linalg")
-
-
-def hat_closure(m, scales):
-    module = exterior_module(m, "parity")
-    z = tuple(s * clifford_hat(np.eye(m)[j], m) for j, s in enumerate(scales))
-    return ClosureDatum(f"hat_m{m}", module, z, HolonomyGroup.trivial_group(m))
-
-
-def conjugated(d, u):
-    """d written in the basis u: every module matrix a becomes u a u^H."""
-    def conj(a):
-        return u @ a @ u.conj().T
-
-    hol = d.holonomy
-    return ClosureDatum(
-        d.name, explicit_module([conj(c) for c in d.module.c], conj(d.module.grading)),
-        tuple(conj(z) for z in d.z),
-        HolonomyGroup(hol.m, tuple((x, conj(dx)) for x, dx in hol.infinitesimal),
-                      tuple((g, conj(rho)) for g, rho in hol.components)))
 
 
 def monomial_families(d):
@@ -113,8 +98,8 @@ def test_two_nonzeros_in_a_row_take_the_dense_path(monkeypatch):
     mixed = conjugated(d, u)
     assert monomial_families(d) and not monomial_families(mixed)
     calls = []
-    dense = engine._dense_violations
-    monkeypatch.setattr(engine, "_dense_violations", lambda *a: calls.append(1) or dense(*a))
+    dense = engine._dense_norms
+    monkeypatch.setattr(engine, "_dense_norms", lambda *a: calls.append(1) or dense(*a))
     assert_same_checks(validate_closure(d), validate_closure(mixed), z_scale(d))
     assert calls == [1]
     assert local_index(mixed)[0] == local_index(d)[0] == -1
