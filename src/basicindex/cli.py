@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--s", type=_s_sweep, default="10,100,1000",
                    help="comma-separated list of at least 3 increasing positive s values")
-    p.add_argument("--modes", type=_bounded_int(MIN_MODES, MAX_MODES), default=128)
+    p.add_argument("--modes", type=_bounded_int(MIN_MODES, MAX_MODES // 2), default=128)
     p.add_argument("--jmax", type=_bounded_int(1), default=4)
     sub.add_parser("list-examples", help="enumerate bundled scenarios") \
         .set_defaults(fn=cmd_list_examples, format="text")

@@ -587,7 +587,7 @@ def _converged_eigs(graded: CircleModel, s: float, n_modes: int, count: int
         n, coarse = 2 * n, fine
         del blocks  # released before the next, larger assembly
     raise DiscretizationError(
-        f"eigenvalues not stable under grid doubling at s = {s:g} up to {2 * n} modes; "
+        f"eigenvalues not stable under grid doubling at s = {s:g} up to n_modes = {n}; "
         + ("rerun with a larger --modes value" if 2 * n <= MAX_MODES else
            f"no grid beyond n_modes = {MAX_MODES} is assembled"))
 

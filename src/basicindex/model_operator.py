@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import nullspace
+from .linalg import JointEigenstructure, nullspace
 from .local_index import (
     ClosureAnalysis,
     ClosureDatum,
@@ -112,7 +112,6 @@ class EigentupleBlock:
     grading: int  # +1 or -1
     eigentuple: tuple[float, ...]
     multiplicity: int
-    vectors: Array  # ambient module coordinates, orthonormal columns
 
 
 @dataclass(frozen=True)
@@ -124,18 +123,16 @@ class ModelSpectrum:
 
 
 def eigentuple_blocks(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[EigentupleBlock, ...]:
-    """Distinct joint eigentuples of (L_1..L_m) per grading sign, with their
-    eigenspaces mapped back to ambient module coordinates."""
+    """Distinct joint eigentuples of (L_1..L_m) per grading sign, with multiplicities."""
     return _blocks(analyze_closure(d, tol))
 
 
 def _blocks(a: ClosureAnalysis) -> tuple[EigentupleBlock, ...]:
-    # one block per cluster of joint_eig, represented by its first column
+    # one block per cluster of joint_eig, read off its first column
     return tuple(EigentupleBlock(grading=sign,
                                  eigentuple=tuple(float(x) for x in struct.eigentuples[start]),
-                                 multiplicity=stop - start,
-                                 vectors=u @ struct.basis[:, start:stop])
-                 for sign, (u, struct) in zip((+1, -1), a.sides)
+                                 multiplicity=stop - start)
+                 for sign, (_, struct) in zip((+1, -1), a.sides)
                  for start, stop in struct.clusters)
 
 
@@ -155,7 +152,7 @@ def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL) -> 
         merged.extend(lv for lv in compose_levels(np.array(b.eigentuple), count)
                       for _ in range(b.multiplicity))
     merged.sort()
-    (kp, km), _ = _checked_kernel_dims(a, blocks)
+    (kp, km), _ = _checked_kernel_dims(a)
     return ModelSpectrum(
         eigenvalues=np.array(merged[:count]),
         kernel_dim_plus=kp,
@@ -164,9 +161,9 @@ def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL) -> 
     )
 
 
-def _kernel_dim_for_sign(d: ClosureDatum, blocks: list[EigentupleBlock],
+def _kernel_dim_for_sign(d: ClosureDatum, u: Array, struct: JointEigenstructure,
                          tol: float) -> int:
-    """Holonomy-invariant dimension of the model kernel on one grading sign.
+    """Holonomy-invariant dimension of the model kernel on one grading side.
 
     Kernel sections are Gaussian pairs (Q, v) with Q = diag(eigentuple) in
     slice coordinates and v a joint eigenvector with all-negative tuple; a
@@ -175,65 +172,53 @@ def _kernel_dim_for_sign(d: ClosureDatum, blocks: list[EigentupleBlock],
     module vector to be fixed AND the quadratic form to be preserved; for
     genuine equivariant data the second is implied by the first, and any
     structural leak (kernel not preserved, tuple blocks mixing) is an
-    inconsistency error rather than a number.
+    inconsistency error rather than a number.  Each generator is restricted
+    once to the all-negative columns u @ basis[:, cols], which are formed
+    only for nontrivial holonomy, and its blocks are then read in place.
     """
-    if not blocks:
-        return 0
+    spans = [(start, stop) for start, stop in struct.clusters
+             if np.all(struct.eigentuples[start] < 0.0)]
+    sizes = [stop - start for start, stop in spans]
+    n_cols = sum(sizes)
     group = d.holonomy
-    n_basis = np.hstack([b.vectors for b in blocks])
-    n_cols = n_basis.shape[1]
-    if group.trivial:
+    if group.trivial or not n_cols:
         return n_cols
-    col_of_block = []
-    start = 0
-    for b in blocks:
-        col_of_block.append(slice(start, start + b.multiplicity))
-        start += b.multiplicity
-    lam_mats = [np.diag(b.eigentuple) for b in blocks]
+    n_basis = u @ struct.basis[:, np.concatenate([np.arange(*span) for span in spans])]
+    owner = np.repeat(np.arange(len(spans)), sizes)  # the block of each column
+    lam_mats = [np.diag(struct.eigentuples[start]) for start, _ in spans]
     outside = np.eye(d.module.dim, dtype=complex) - n_basis @ n_basis.conj().T
     rows: list[Array] = []
-    eye_n = np.eye(n_cols, dtype=complex)
+
+    def restricted(kind: str, gi: int, op: Array) -> Array:
+        act = op @ n_basis
+        leak = float(np.linalg.norm(outside @ act))
+        if leak > 1e-7 * max(1.0, np.linalg.norm(op)):
+            raise RouteConsistencyError(
+                f"{kind} {gi} does not preserve the model kernel (leak {leak:.3e})")
+        return n_basis.conj().T @ act
 
     for gi, (dg, rho) in enumerate(group.components):
-        act = rho @ n_basis
-        leak = float(np.linalg.norm(outside @ act))
-        if leak > 1e-7 * max(1.0, np.linalg.norm(rho)):
-            raise RouteConsistencyError(
-                f"component {gi} does not preserve the model kernel (leak {leak:.3e})")
-        m_blocked = np.zeros((n_cols, n_cols), dtype=complex)
-        for i, bi in enumerate(blocks):
-            moved = dg @ lam_mats[i] @ dg.T
-            for i2, bi2 in enumerate(blocks):
-                if bi2.grading == bi.grading and np.linalg.norm(moved - lam_mats[i2]) < 1e-6:
-                    m_blocked[col_of_block[i2], col_of_block[i]] = \
-                        bi2.vectors.conj().T @ rho @ bi.vectors
-        full = n_basis.conj().T @ rho @ n_basis
-        if np.linalg.norm(m_blocked - full) > 1e-7 * max(1.0, np.linalg.norm(full)):
+        r = restricted("component", gi, rho)
+        # block (i2, i) survives where dg moves the form of block i onto that of block i2
+        keep = np.array([[np.linalg.norm(dg @ lam @ dg.T - lam2) < 1e-6 for lam in lam_mats]
+                         for lam2 in lam_mats])
+        kept = np.where(keep[np.ix_(owner, owner)], r, 0.0)
+        if np.linalg.norm(kept - r) > 1e-7 * max(1.0, np.linalg.norm(r)):
             raise RouteConsistencyError(
                 f"component {gi} mixes Gaussian quadratic forms inconsistently")
-        rows.append(m_blocked - eye_n)
+        rows.append(kept - np.eye(n_cols))
 
+    starts, same = np.cumsum([0] + sizes[:-1]), owner[:, None] == owner[None, :]
     for gi, (x, dx) in enumerate(group.infinitesimal):
-        act = dx @ n_basis
-        leak = float(np.linalg.norm(outside @ act))
-        if leak > 1e-7 * max(1.0, np.linalg.norm(dx)):
-            raise RouteConsistencyError(
-                f"infinitesimal {gi} does not preserve the model kernel (leak {leak:.3e})")
-        row = np.zeros((n_cols, n_cols), dtype=complex)
-        restricted = n_basis.conj().T @ dx @ n_basis
-        for i, bi in enumerate(blocks):
-            for i2 in range(len(blocks)):
-                blk = restricted[col_of_block[i2], col_of_block[i]]
-                if i2 == i:
-                    row[col_of_block[i], col_of_block[i]] = blk
-                elif np.linalg.norm(blk) > 1e-7:
-                    raise RouteConsistencyError(
-                        f"infinitesimal {gi} mixes distinct eigentuple blocks")
-            form_drift = x @ lam_mats[i] + lam_mats[i] @ x.T
-            if np.linalg.norm(form_drift) > 1e-7:
-                # the flow moves this Gaussian's quadratic form: no invariants here
-                row[col_of_block[i], col_of_block[i]] += np.eye(blocks[i].multiplicity)
-        rows.append(row)
+        r = restricted("infinitesimal", gi, dx)
+        # Frobenius norm of each (i2, i) block
+        norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(r) ** 2, starts, axis=0),
+                                        starts, axis=1))
+        if np.any(norms[~np.eye(len(spans), dtype=bool)] > 1e-7):
+            raise RouteConsistencyError(f"infinitesimal {gi} mixes distinct eigentuple blocks")
+        # the flow moves a drifting block's quadratic form: no invariants there
+        drift = np.array([np.linalg.norm(x @ lam + lam @ x.T) > 1e-7 for lam in lam_mats])
+        rows.append(np.where(same, r, 0.0) + np.diag(drift[owner].astype(float)))
 
     return nullspace(np.vstack(rows), tol).dim
 
@@ -246,19 +231,12 @@ def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[int, in
     raises RouteConsistencyError because the two constructions are provably
     the same number.
     """
-    a = analyze_closure(d, tol)
-    return _checked_kernel_dims(a, _blocks(a))[0]
+    return _checked_kernel_dims(analyze_closure(d, tol))[0]
 
 
-def _checked_kernel_dims(a: ClosureAnalysis, blocks: tuple[EigentupleBlock, ...]
-                         ) -> tuple[tuple[int, int], int]:
+def _checked_kernel_dims(a: ClosureAnalysis) -> tuple[tuple[int, int], int]:
     """Kernel-route (plus, minus) dims, checked against the intersection route's local index."""
-    negatives = {+1: [], -1: []}
-    for b in blocks:
-        if all(x < 0.0 for x in b.eigentuple):
-            negatives[b.grading].append(b)
-    kp = _kernel_dim_for_sign(a.datum, negatives[+1], a.tol)
-    km = _kernel_dim_for_sign(a.datum, negatives[-1], a.tol)
+    kp, km = (_kernel_dim_for_sign(a.datum, u, struct, a.tol) for u, struct in a.sides)
     ind, detail = a.index_detail()
     if (kp, km) != (detail.plus.dim_invariant, detail.minus.dim_invariant):
         raise RouteConsistencyError(
@@ -301,8 +279,7 @@ def model_cross_check(s: ScenarioModel, tol: float = DEFAULT_TOL) -> CrossCheckR
     global index; agreement is required, disagreement is a hard error."""
     entries = []
     for d in s.closures:
-        a = analyze_closure(d, tol)
-        (kp, km), ind = _checked_kernel_dims(a, _blocks(a))
+        (kp, km), ind = _checked_kernel_dims(analyze_closure(d, tol))
         entries.append(CrossCheckEntry(d.name, (kp, km), kp - km, ind))
     # each entry already passed _checked_kernel_dims, so the report is consistent
     return CrossCheckReport(tuple(entries), sum(e.kernel_index for e in entries),

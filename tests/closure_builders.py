@@ -8,8 +8,10 @@ from basicindex import (
     HolonomyGroup,
     clifford_c,
     clifford_hat,
+    derived_exterior_action,
     explicit_module,
     exterior_module,
+    exterior_rep,
 )
 from basicindex.holonomy import derive_infinitesimal_action
 
@@ -101,6 +103,18 @@ def hat_closure(m, scales):
     module = exterior_module(m, "parity")
     z = tuple(s * clifford_hat(np.eye(m)[j], m) for j, s in enumerate(scales))
     return ClosureDatum(f"hat_m{m}", module, z, HolonomyGroup.trivial_group(m))
+
+
+def reflected_closure():
+    """Exterior m = 3 datum with Z_j = t_j chat(e_j) and t_1 = t_2, an SO(2) generator
+    on (e_1, e_2) and a component reflecting e_3, each with its derived module action."""
+    d = hat_closure(3, [1.3, 1.3, 0.7])
+    x = np.zeros((3, 3))
+    x[:2, :2] = ROT2
+    dg = np.diag([1.0, 1.0, -1.0])
+    return ClosureDatum("reflected_m3", d.module, d.z,
+                        HolonomyGroup(3, ((x, derived_exterior_action(x)),),
+                                      ((dg, exterior_rep(dg)),)))
 
 
 def conjugated(d, u):

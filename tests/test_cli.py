@@ -261,6 +261,7 @@ def test_non_finite_entry_is_input_error(tmp_path, capsys, token):
     (["localize", "carriere", "--jmax", "0"], None),
     (["localize", "carriere", "--modes", "10"], None),
     (["localize", "carriere", "--modes", "9999999"], None),
+    (["localize", "carriere", "--modes", "4096"], None),  # no room to double under MAX_MODES
     (["spectrum", "carriere", "--closure", "t_quarter", "--count", "0"], None),
     (["spectrum", "carriere", "--closure", "t_quarter", "--count", "-3"], None),
     (["--tol", "nan", "validate", "carriere"], None),

@@ -16,6 +16,7 @@ from basicindex import (
     exterior_module,
     explicit_module,
     global_index,
+    invariant_kernel,
     load_corpus_scenario,
     local_index,
     odd_invertible_perturbation,
@@ -28,6 +29,7 @@ from closure_builders import (
     conjugated,
     cp2_closure,
     random_unitary,
+    reflected_closure,
     rotated_closure,
     sphere_closure,
 )
@@ -302,6 +304,18 @@ def test_positive_rescaling_of_each_z_keeps_every_corpus_index(key, data):
                           d.holonomy)
     assert local_index(scaled)[0] == local_index(d)[0]
 
+
+@pytest.mark.parametrize("key", sorted(CORPUS_CLOSURES) + ["reflected_m3"])
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_unitary_change_of_module_basis_keeps_index_and_kernel(key, seed):
+    # c, eps, Z and the holonomy actions move together, so every subspace the two
+    # routes compare moves by the same unitary; the conjugated copy is dense, so it
+    # runs the dense validation kernel and the refined joint_eig
+    d = CORPUS_CLOSURES[key] if key in CORPUS_CLOSURES else reflected_closure()
+    rotated = conjugated(d, random_unitary(np.random.default_rng(seed), d.module.dim))
+    assert local_index(rotated)[0] == local_index(d)[0]
+    assert invariant_kernel(rotated) == invariant_kernel(d)
 
 
 def direct_sum(a, b):

@@ -326,12 +326,14 @@ def test_assembly_rejects_more_than_max_modes():
 
 
 @pytest.mark.parametrize("base,grids,advice", [
-    (128, [128, 256, 512, 1024], "rerun with a larger --modes value"),
-    (MAX_MODES // 2, [MAX_MODES // 2, MAX_MODES], f"no grid beyond n_modes = {MAX_MODES}"),
+    (128, [128, 256, 512, 1024], "up to n_modes = 1024; rerun with a larger --modes value"),
+    (MAX_MODES // 2, [MAX_MODES // 2, MAX_MODES],
+     f"up to n_modes = {MAX_MODES}; no grid beyond n_modes = {MAX_MODES}"),
 ])
 def test_grid_doubling_stops_at_max_modes(monkeypatch, base, grids, advice):
-    # values that never settle: doubling runs three times or up to MAX_MODES, and the
-    # advice to raise --modes is given only while a larger base reaches a finer grid
+    # values that never settle: doubling runs three times or up to MAX_MODES, the error
+    # names the finest grid assembled, and the advice to raise --modes is given only
+    # while a larger base reaches a finer grid
     assembled = []
     monkeypatch.setattr(localization, "_assemble_sparse",
                         lambda model, s, n: assembled.append(n) or n)

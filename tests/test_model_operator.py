@@ -12,7 +12,9 @@ from basicindex import (
     analytic_spectrum,
     compose_levels,
     compose_oracle_levels,
+    derived_exterior_action,
     explicit_module,
+    exterior_rep,
     invariant_kernel,
     load_corpus_scenario,
     local_index,
@@ -21,7 +23,7 @@ from basicindex import (
     oscillator_levels,
 )
 from basicindex.model_operator import eigentuple_blocks
-from closure_builders import carriere_closure, cp2_closure, sphere_closure
+from closure_builders import ROT2, carriere_closure, cp2_closure, hat_closure, sphere_closure
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -174,5 +176,33 @@ def test_kernel_route_detects_corrupt_holonomy():
     swap[0, 3] = swap[3, 0] = swap[1, 2] = swap[2, 1] = 1.0
     bad = ClosureDatum(d.name, d.module, d.z,
                        HolonomyGroup(2, (), ((np.eye(2), swap),)))
-    with pytest.raises(RouteConsistencyError):
+    with pytest.raises(RouteConsistencyError,
+                       match="component 0 does not preserve the model kernel"):
         invariant_kernel(bad)
+
+
+# Z = (chat e1, 2 chat e2) on the m = 2 exterior module: one all-negative tuple per
+# side, whose Gaussian form diag(lam_1, lam_2) no axis swap or rotation preserves
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+EVEN_MIX = np.zeros((4, 4), dtype=complex)  # a rotation of the even vectors 1 and e1^e2
+EVEN_MIX[0, 3], EVEN_MIX[3, 0] = -1.0, 1.0
+
+
+def unequal_plane(infinitesimal=(), components=()):
+    d = hat_closure(2, [1.0, 2.0])
+    return ClosureDatum(d.name, d.module, d.z, HolonomyGroup(2, infinitesimal, components))
+
+
+@pytest.mark.parametrize("group,message", [
+    (dict(components=((SWAP, exterior_rep(SWAP)),)),
+     "component 0 mixes Gaussian quadratic forms inconsistently"),
+    (dict(infinitesimal=((np.zeros((2, 2)), EVEN_MIX),)),
+     "infinitesimal 0 does not preserve the model kernel"),
+    (dict(infinitesimal=((ROT2, derived_exterior_action(ROT2)),)),
+     # the rotation fixes the kernel vector but moves its form, so the kernel route
+     # finds no invariant section where the intersection route finds one
+     r"kernel route gives \(0, 0\) but the intersection route gives \(1, 0\)"),
+], ids=["swap_mixes_forms", "even_mix_leaks", "rotation_drifts"])
+def test_kernel_route_raises_on_inconsistent_holonomy(group, message):
+    with pytest.raises(RouteConsistencyError, match=message):
+        invariant_kernel(unequal_plane(**group))
