@@ -35,7 +35,6 @@ from .linalg import (
     hermitian_eig,
     joint_eig,
     nullspace,
-    subspace_intersection,
 )
 from .local_index import (
     ClosureDatum,

@@ -1,10 +1,10 @@
 """Deterministic dense complex linear algebra used by the index engine.
 
 Thin, contract-enforcing layer over LAPACK: Hermitian eigendecomposition,
-simultaneous diagonalization of commuting Hermitian families by sequential
-refinement, orthonormal subspaces, intersections, and null spaces.  All
-functions are pure; identical inputs give identical outputs within one build
-(eigenvector phases are normalized deterministically).
+the joint eigenbasis of commuting Hermitian operators that square to scalars
+(split by sign, one operator at a time), orthonormal subspaces, and null
+spaces.  All functions are pure; identical inputs give identical outputs
+within one build (eigenvector phases are normalized deterministically).
 
 The private product kernels below evaluate an index plan of rows
 wp A_a A_b + wq A_b A_a + lam I, and of A_k + sign A_k^H, by Frobenius norm:
@@ -22,8 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 Array = np.ndarray
-
-INTERSECTION_TOL = 1e-8  # subspace_intersection's cutoff, and the tolerance its result carries
 
 
 class LinalgError(ValueError):
@@ -233,18 +231,6 @@ class Subspace:
     def full(ambient_dim: int, tol: float = 1e-9) -> "Subspace":
         return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
 
-    @staticmethod
-    def from_span(vectors: Array) -> "Subspace":
-        """Orthonormalize spanning columns, dropping directions below 1e-9 relative."""
-        vectors = np.asarray(vectors, dtype=complex)
-        if vectors.ndim != 2:
-            raise LinalgError("expected a 2-d array of column vectors")
-        if vectors.shape[1] == 0:
-            return Subspace(vectors.shape[0], vectors, 1e-9)
-        u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-        rank = int(np.sum(s > 1e-9 * max(1.0, float(s[0]) if s.size else 1.0)))
-        return Subspace(vectors.shape[0], _fix_phases(u[:, :rank]), 1e-9)
-
 
 @dataclass(frozen=True)
 class JointEigenstructure:
@@ -252,24 +238,27 @@ class JointEigenstructure:
 
     Column k of basis is a joint eigenvector; eigentuples[k, j] is its
     eigenvalue under the j-th operator.  Columns are ordered lexicographically
-    ascending in their eigentuple.
+    ascending in the signs of their eigentuple.
     """
 
     basis: Array  # (dim, dim) unitary
     eigentuples: Array  # (dim, number of operators) real
-    clusters: tuple[tuple[int, int], ...]  # (start, stop) ranges of equal eigentuples
+    clusters: tuple[tuple[int, int], ...]  # (start, stop) ranges of one sign pattern
 
 
 def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
-    """Simultaneously diagonalize commuting Hermitian matrices.
+    """Joint eigenbasis of commuting Hermitian matrices that square to scalars.
 
-    Sequential refinement: diagonalize the first operator, then within each
-    degenerate cluster diagonalize the restriction of the next, and so on.
-    Raises LinalgError (with the worst commutator norm) for non-commuting
-    input, and verifies the reconstruction of every operator afterwards.
-    When every operator is diagonal (no nonzero off the diagonal), the
-    refinement reduces to one stable sort per operator, which gives the same
-    order, eigentuples and clusters without a dense product or solve.
+    Under that contract, L_j^2 = g_jj I, every eigenvalue of L_j is
+    +-sqrt(g_jj), so a joint eigenspace is a sign pattern and is found by
+    splitting at 0: each operator in turn is restricted to every current block
+    and diagonalized once, and the block splits into its negative and its
+    positive eigenvectors, in that order.  The contract itself is gated by
+    validate_closure; here only the reconstruction of every operator is
+    verified, which also rejects a non-commuting family.  When every operator
+    is diagonal (no nonzero off the diagonal), the split is one stable sort on
+    the sign bits.  Columns are ordered by sign pattern, negative first and
+    operator 0 most significant; clusters are the runs of one pattern.
     """
     if not ops:
         raise LinalgError("at least one operator is required")
@@ -281,124 +270,43 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
     stack = np.asarray(mats)
     diagonals = np.diagonal(stack, axis1=1, axis2=2)
     if np.count_nonzero(stack) == np.count_nonzero(diagonals):
-        return _diagonal_joint_eig(diagonals, tol)
-    return _refined_joint_eig(mats, tol)
+        order = np.lexsort(diagonals.real[::-1] >= 0.0)
+        basis, tuples = np.eye(dim, dtype=complex)[:, order], diagonals.real[:, order].T
+    else:
+        basis, tuples = _sign_split(mats, tol)
+    starts = np.flatnonzero(np.any(np.diff(tuples < 0.0, axis=0), axis=1)) + 1
+    bounds = [0, *starts.tolist(), dim] if dim else []
+    return JointEigenstructure(basis=basis, eigentuples=tuples,
+                               clusters=tuple(zip(bounds[:-1], bounds[1:])))
 
 
-def _refined_joint_eig(mats: list[Array], tol: float) -> JointEigenstructure:
-    """joint_eig's sequential refinement, for square complex operators of one shape."""
+def _sign_split(mats: list[Array], tol: float) -> tuple[Array, Array]:
+    """joint_eig's (basis, eigentuples) of dense operators, reconstruction checked."""
     dim = mats[0].shape[0]
-    scales = [max(1.0, _norm(a)) for a in mats]
-    for j, a in enumerate(mats):
-        defect = _norm(a - a.conj().T)
-        if defect > tol * scales[j]:
-            raise LinalgError(f"operator {j} is not Hermitian (defect {defect:.3e})")
-    worst = 0.0
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            comm = _norm(mats[j] @ mats[k] - mats[k] @ mats[j])
-            worst = max(worst, comm / (scales[j] * scales[k]))
-    if worst > tol:
-        raise LinalgError(f"operators do not commute: relative commutator norm {worst:.3e}")
-
     basis = np.eye(dim, dtype=complex)
     tuples = np.zeros((dim, len(mats)))
-    clusters: list[tuple[int, int]] = []
-
-    def refine(cols: np.ndarray, level: int) -> np.ndarray:
-        if level == len(mats) or len(cols) <= 1:
-            if level < len(mats) and len(cols) == 1:
-                for j in range(level, len(mats)):
-                    sub = basis[:, cols].conj().T @ mats[j] @ basis[:, cols]
-                    tuples[cols[0], j] = float(sub[0, 0].real)
-            if len(cols):
-                clusters.append((int(cols[0]), int(cols[-1]) + 1))
-            return cols
-        block = basis[:, cols]
-        sub = block.conj().T @ mats[level] @ block
-        w, v = hermitian_eig(sub, tol)
-        basis[:, cols] = block @ v
-        tuples[cols, level] = w
-        gap = tol * scales[level]
-        start = 0
-        order = list(cols)
-        while start < len(cols):
-            stop = start + 1
-            while stop < len(cols) and w[stop] - w[stop - 1] <= gap:
-                stop += 1
-            refine(np.asarray(order[start:stop]), level + 1)
-            start = stop
-        return cols
-
-    refine(np.arange(dim), 0)
+    blocks = [np.arange(dim)]
+    for j, a in enumerate(mats):
+        split = []
+        for cols in blocks:
+            block = basis[:, cols]
+            sub = block.conj().T @ a @ block
+            if len(cols) > 1:
+                w, v = hermitian_eig(sub, tol)
+                basis[:, cols] = block @ v
+            else:  # one column is an eigenvector already
+                w = sub[0].real
+            tuples[cols, j] = w
+            neg = int(np.searchsorted(w, 0.0))  # w ascends
+            split += [part for part in (cols[:neg], cols[neg:]) if len(part)]
+        blocks = split
     basis = _fix_phases(basis)
     for j, a in enumerate(mats):
-        resid = _norm(a @ basis - basis @ np.diag(tuples[:, j]))
-        if resid > 1e-9 * scales[j] * max(1.0, dim):
+        resid = _norm(a @ basis - basis * tuples[:, j])
+        if resid > 1e-9 * max(1.0, _norm(a)) * max(1.0, dim):
             raise LinalgError(f"joint diagonalization failed to reconstruct operator {j} "
                               f"(residual {resid:.3e})")
-    return JointEigenstructure(basis=basis, eigentuples=tuples, clusters=tuple(clusters))
-
-
-def _diagonal_joint_eig(diagonals: Array, tol: float) -> JointEigenstructure:
-    """joint_eig of diagonal operators, given as the rows of diagonals.
-
-    Level j of the refinement sorts each cluster by operator j, records the
-    sorted values as column j of the eigentuples, and splits the cluster
-    where consecutive values differ by more than tol * scales[j].  A stable
-    sort by (cluster, value) per operator does exactly that; as in the
-    refinement, later levels reorder vectors within a cluster but leave the
-    columns already recorded in place.
-    """
-    values = diagonals.real
-    scales = np.maximum(1.0, np.sqrt(np.sum(np.abs(diagonals) ** 2, axis=1)))
-    if diagonals.imag.any():
-        defects = 2.0 * np.sqrt(np.sum(diagonals.imag ** 2, axis=1))  # ||a - a^H||
-        if np.any(defects > tol * scales):
-            j = int(np.argmax(defects > tol * scales))
-            raise LinalgError(f"operator {j} is not Hermitian (defect {defects[j]:.3e})")
-    dim = values.shape[1]
-    order = np.arange(dim)
-    cluster = np.zeros(dim, dtype=int)
-    starts = np.ones(dim, dtype=bool)
-    tuples = np.empty((dim, len(values)))
-    for j in range(len(values)):
-        perm = np.lexsort((values[j, order], cluster))
-        order, cluster = order[perm], cluster[perm]
-        w = tuples[:, j] = values[j, order]
-        starts[1:] = (cluster[1:] != cluster[:-1]) | (np.diff(w) > tol * scales[j])
-        cluster = np.cumsum(starts)
-    # the refinement's reconstruction check: the basis is a permutation, so the
-    # residual of operator j is the distance of its values from column j, which
-    # is 0 unless a cluster chained unequal values
-    drift = values[:, order] - tuples.T
-    if drift.any():
-        resid = np.sqrt(np.sum(drift ** 2, axis=1))
-        if np.any(resid > 1e-9 * scales * max(1.0, dim)):
-            j = int(np.argmax(resid > 1e-9 * scales * max(1.0, dim)))
-            raise LinalgError(f"joint diagonalization failed to reconstruct operator {j} "
-                              f"(residual {resid[j]:.3e})")
-    bounds = np.append(np.flatnonzero(starts), dim)
-    return JointEigenstructure(
-        basis=np.eye(dim, dtype=complex)[:, order], eigentuples=tuples,
-        clusters=tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())))
-
-
-def subspace_intersection(subs: list[Subspace]) -> Subspace:
-    """Intersection of subspaces of a common ambient space.
-
-    Computed as the span of eigenvectors with eigenvalue < INTERSECTION_TOL
-    of sum_i (I - P_i); exact for well-separated principal angles.
-    """
-    if not subs:
-        raise LinalgError("at least one subspace is required")
-    ambient = subs[0].ambient_dim
-    for s in subs:
-        if s.ambient_dim != ambient:
-            raise LinalgError("subspaces live in different ambient dimensions")
-    defect = sum(np.eye(ambient, dtype=complex) - s.projector() for s in subs)
-    w, v = hermitian_eig(defect, INTERSECTION_TOL)
-    return Subspace(ambient, v[:, w < INTERSECTION_TOL], INTERSECTION_TOL)
+    return basis, tuples
 
 
 def nullspace(mat: Array, tol: float = 1e-9) -> Subspace:

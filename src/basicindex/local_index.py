@@ -20,7 +20,6 @@ import numpy as np
 from .cliff import CliffordModule, _module_report, _module_rows, _shape_problems
 from .holonomy import HolonomyGroup, NotInvariantError, check_equivariance, invariant_dim_in
 from .linalg import (
-    INTERSECTION_TOL,
     DegenerateEigenvalueError,
     JointEigenstructure,
     LinalgError,
@@ -42,6 +41,7 @@ Array = np.ndarray
 
 DEFAULT_TOL = 1e-9
 SIGN_TOL = 1e-8  # a joint eigenvalue this close to 0 has no sign
+INTERSECTION_TOL = 1e-8  # the tolerance an intersection Subspace carries
 
 
 class ClosureValidationError(ValueError):
@@ -303,22 +303,12 @@ class LocalIndexDetail:
     index: int
 
 
-def graded_restrictions(d: ClosureDatum, tol: float = DEFAULT_TOL
-                        ) -> tuple[tuple[Array, JointEigenstructure], ...]:
-    """Joint eigenstructures of the L_j restricted to E^+ and E^-.
-
-    Returns ((U_plus, struct_plus), (U_minus, struct_minus)) where the U are
-    orthonormal bases of the grading eigenspaces: the restriction is computed
-    in an eigenbasis of the grading, not by index slicing, so explicit
-    non-diagonal gradings work.  These are the sides of analyze_closure.
-    """
-    return analyze_closure(d, tol).sides
-
-
 @dataclass(frozen=True)
 class ClosureAnalysis:
-    """A validated closure up to, not including, any holonomy step: sides as
-    graded_restrictions returns them, no joint eigenvalue within SIGN_TOL of 0."""
+    """A validated closure up to, not including, any holonomy step: sides holds
+    (U, joint_eig of the U^H L_j U) for the +1, then the -1 eigenspace of the
+    grading, U an orthonormal basis of it; no joint eigenvalue is within
+    SIGN_TOL of 0."""
 
     datum: ClosureDatum
     sides: tuple[tuple[Array, JointEigenstructure], ...]
@@ -329,7 +319,7 @@ class ClosureAnalysis:
         sides = []
         for u, struct in self.sides:
             # Exact: the negative eigenspaces are spanned by columns of one joint eigenbasis.
-            # invariant_dim_in gates leaks at max(tol, w.tol), as for subspace_intersection.
+            # invariant_dim_in gates leaks at max(tol, INTERSECTION_TOL).
             negative = np.all(struct.eigentuples < 0.0, axis=1)
             inter = Subspace(u.shape[0], u @ struct.basis[:, negative], INTERSECTION_TOL)
             sides.append(GradedSide(

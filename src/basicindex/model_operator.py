@@ -11,7 +11,9 @@ mismatch is a hard error.
 
 Both routes read one ClosureAnalysis, so they share exactly the validation,
 the L_j, the joint eigenbasis and the all-negative selection of eigentuples;
-only their holonomy steps differ.
+only their holonomy steps differ.  Validation forces L_j^2 = g_jj I, so each
+eigentuple is a sign pattern of +-sqrt(diag(G)) and each grading side has at
+most one all-negative tuple: the kernel route reads one Gaussian form per side.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def eigentuple_blocks(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[Eigent
 
 
 def _blocks(a: ClosureAnalysis) -> tuple[EigentupleBlock, ...]:
-    # one block per cluster of joint_eig, read off its first column
+    # one block per sign pattern (cluster of joint_eig), read off its first column
     return tuple(EigentupleBlock(grading=sign,
                                  eigentuple=tuple(float(x) for x in struct.eigentuples[start]),
                                  multiplicity=stop - start)
@@ -171,22 +173,20 @@ def _kernel_dim_for_sign(d: ClosureDatum, u: Array, struct: JointEigenstructure,
     generator by (X Q + Q X^T, drho(X) v).  Invariance therefore requires the
     module vector to be fixed AND the quadratic form to be preserved; for
     genuine equivariant data the second is implied by the first, and any
-    structural leak (kernel not preserved, tuple blocks mixing) is an
-    inconsistency error rather than a number.  Each generator is restricted
-    once to the all-negative columns u @ basis[:, cols], which are formed
-    only for nontrivial holonomy, and its blocks are then read in place.
+    structural leak (kernel not preserved, form not fixed by a component) is
+    an inconsistency error rather than a number.  The all-negative columns
+    share one tuple, -sqrt(diag(G)), so one form Q serves the side.  Each
+    generator is restricted once to the columns u @ basis[:, cols], which are
+    formed only for nontrivial holonomy.
     """
-    spans = [(start, stop) for start, stop in struct.clusters
-             if np.all(struct.eigentuples[start] < 0.0)]
-    sizes = [stop - start for start, stop in spans]
-    n_cols = sum(sizes)
+    cols = np.flatnonzero(np.all(struct.eigentuples < 0.0, axis=1))
     group = d.holonomy
-    if group.trivial or not n_cols:
-        return n_cols
-    n_basis = u @ struct.basis[:, np.concatenate([np.arange(*span) for span in spans])]
-    owner = np.repeat(np.arange(len(spans)), sizes)  # the block of each column
-    lam_mats = [np.diag(struct.eigentuples[start]) for start, _ in spans]
+    if group.trivial or not len(cols):
+        return len(cols)
+    n_basis = u @ struct.basis[:, cols]
+    lam = np.diag(struct.eigentuples[cols[0]])
     outside = np.eye(d.module.dim, dtype=complex) - n_basis @ n_basis.conj().T
+    eye = np.eye(len(cols))
     rows: list[Array] = []
 
     def restricted(kind: str, gi: int, op: Array) -> Array:
@@ -199,27 +199,14 @@ def _kernel_dim_for_sign(d: ClosureDatum, u: Array, struct: JointEigenstructure,
 
     for gi, (dg, rho) in enumerate(group.components):
         r = restricted("component", gi, rho)
-        # block (i2, i) survives where dg moves the form of block i onto that of block i2
-        keep = np.array([[np.linalg.norm(dg @ lam @ dg.T - lam2) < 1e-6 for lam in lam_mats]
-                         for lam2 in lam_mats])
-        kept = np.where(keep[np.ix_(owner, owner)], r, 0.0)
-        if np.linalg.norm(kept - r) > 1e-7 * max(1.0, np.linalg.norm(r)):
+        if not np.linalg.norm(dg @ lam @ dg.T - lam) < 1e-6:
             raise RouteConsistencyError(
                 f"component {gi} mixes Gaussian quadratic forms inconsistently")
-        rows.append(kept - np.eye(n_cols))
-
-    starts, same = np.cumsum([0] + sizes[:-1]), owner[:, None] == owner[None, :]
+        rows.append(r - eye)
     for gi, (x, dx) in enumerate(group.infinitesimal):
         r = restricted("infinitesimal", gi, dx)
-        # Frobenius norm of each (i2, i) block
-        norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(r) ** 2, starts, axis=0),
-                                        starts, axis=1))
-        if np.any(norms[~np.eye(len(spans), dtype=bool)] > 1e-7):
-            raise RouteConsistencyError(f"infinitesimal {gi} mixes distinct eigentuple blocks")
-        # the flow moves a drifting block's quadratic form: no invariants there
-        drift = np.array([np.linalg.norm(x @ lam + lam @ x.T) > 1e-7 for lam in lam_mats])
-        rows.append(np.where(same, r, 0.0) + np.diag(drift[owner].astype(float)))
-
+        # the flow moves a drifting form: no invariants there
+        rows.append(r + eye if np.linalg.norm(x @ lam + lam @ x.T) > 1e-7 else r)
     return nullspace(np.vstack(rows), tol).dim
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from basicindex import (
     ClosureDatum,
     ScenarioModel,
-    Subspace,
     clifford_hat,
     compose_levels,
     convergence_report,
@@ -21,17 +20,17 @@ from basicindex import (
     explicit_module,
     global_index,
     invariant_kernel,
+    joint_eig,
     load_corpus_scenario,
     local_index,
     odd_invertible_perturbation,
     oscillator_1d_oracle,
-    subspace_intersection,
     validate_closure,
 )
 from basicindex.cli import main as cli_main
 from basicindex.localization import CircleModel, FourierMatrixFunction
 from basicindex.model_operator import _k_smallest_sums, eigentuple_blocks
-from closure_builders import sphere_closure
+from closure_builders import random_unitary, sphere_closure
 
 
 def criterion(number, title, budget_seconds):
@@ -177,11 +176,11 @@ def test_criterion_7_property_suites():
     assert np.linalg.norm(gamma @ gamma - np.eye(16)) < 1e-10
 
     # joint-diagonalization reconstruction on every corpus restriction
-    from basicindex.local_index import graded_restrictions
+    from basicindex.local_index import analyze_closure
 
     for name in GOLDEN:
         for d in load_corpus_scenario(name).closures:
-            for u, struct in graded_restrictions(d):
+            for u, struct in analyze_closure(d).sides:
                 restricted = [u.conj().T @ (d.module.c[j] @ d.z[j]) @ u
                               for j in range(d.module.m)]
                 for j, op in enumerate(restricted):
@@ -189,13 +188,19 @@ def test_criterion_7_property_suites():
                         @ struct.basis.conj().T
                     assert np.linalg.norm(op - recon) < 1e-9 * max(1.0, np.linalg.norm(op))
 
-    # intersection dimension vs the rank oracle on random instances
+    # all-negative joint eigenspace vs the rank oracle on random commuting
+    # involution pairs U diag(+-1) U^H, with ka and kb negative signs
     rng = np.random.default_rng(1234)
     for _ in range(20):
         ka, kb = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        a = rng.standard_normal((6, ka)) + 1j * rng.standard_normal((6, ka))
-        b = rng.standard_normal((6, kb)) + 1j * rng.standard_normal((6, kb))
-        got = subspace_intersection([Subspace.from_span(a), Subspace.from_span(b)]).dim
+        u = random_unitary(rng, 6)
+        pair = []
+        for k in (ka, kb):
+            signs = np.ones(6)
+            signs[rng.permutation(6)[:k]] = -1.0
+            pair.append((u * signs) @ u.conj().T)
+        got = int(np.sum(np.all(joint_eig(pair).eigentuples < 0.0, axis=1)))
+        a, b = (v[:, w < 0.0] for w, v in map(np.linalg.eigh, pair))
         rank = lambda mat: int(np.sum(np.linalg.svd(mat, compute_uv=False) > 1e-9))
         assert got == rank(a) + rank(b) - rank(np.hstack([a, b]))
 

@@ -16,6 +16,7 @@ import basicindex
 from basicindex import ClosureDatum, ScenarioModel, localization
 from basicindex.cli import main
 from basicindex.scenario import load_corpus_scenario, scenario_to_dict
+from closure_builders import hat_closure
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -293,6 +294,18 @@ def test_degenerate_eigenvalue_fails_alike_in_every_command(tmp_path, capsys):
                  ["spectrum", path, "--closure", "north_pole"]):
         assert main(argv) == 1, argv
         assert "check failed: degenerate eigenvalue" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("t, code", [(3e-9, 1), (2e-8, 0)])
+def test_index_exit_code_at_the_sign_tol(tmp_path, capsys, t, code):
+    # joint eigenvalues +-t: within SIGN_TOL = 1e-8 of 0 there is no sign to count
+    doc = scenario_to_dict(ScenarioModel("hat", 2, (hat_closure(2, [t, t]),)))
+    assert main(["index", write_scenario(tmp_path, doc)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "check failed: degenerate eigenvalue: |lambda| = 3.000e-09" in err
+    else:
+        assert "total: 1" in out
 
 
 def _raise(exc):

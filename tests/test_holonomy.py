@@ -14,6 +14,11 @@ from basicindex.holonomy import derive_component_action, derive_infinitesimal_ac
 from closure_builders import ROT2, so2_group, sphere_closure, torus_group
 
 
+def coordinate_span(n, cols):
+    """The span of the coordinate vectors cols of C^n."""
+    return Subspace(n, np.eye(n, dtype=complex)[:, cols], 1e-9)
+
+
 def svd_kernel_oracle(rows, n):
     """Independent joint-kernel dimension via one SVD."""
     stacked = np.vstack(rows) if rows else np.zeros((1, n), dtype=complex)
@@ -40,7 +45,7 @@ def test_so2_invariants_on_plane_forms():
     assert invariant_dim_in(group, Subspace.full(4)) == 2
     # spanned by the scalar and the area form
     for pos in (0, 3):
-        assert invariant_dim_in(group, Subspace.from_span(np.eye(4, dtype=complex)[:, [pos]])) == 1
+        assert invariant_dim_in(group, coordinate_span(4, [pos])) == 1
 
 
 def test_equal_speed_double_rotation_invariants():
@@ -51,7 +56,7 @@ def test_equal_speed_double_rotation_invariants():
     group = HolonomyGroup(4, ((x, act),), ())
     oracle_dim = svd_kernel_oracle([act], 16)
     assert invariant_dim_in(group, Subspace.full(16)) == oracle_dim == 6
-    even_forms = Subspace.from_span(np.eye(16, dtype=complex)[:, np.diag(module.grading).real > 0])
+    even_forms = coordinate_span(16, np.diag(module.grading).real > 0)
     assert invariant_dim_in(group, even_forms) == 6
 
 
@@ -66,19 +71,19 @@ def test_independent_torus_invariants():
 
 def test_invariant_dim_in_area_form():
     module = exterior_module(2, "parity")
-    w = Subspace.from_span(np.eye(4, dtype=complex)[:, [3]])
+    w = coordinate_span(4, [3])
     assert invariant_dim_in(so2_group(module), w) == 1
 
 
 def test_invariant_dim_in_rejects_non_invariant():
     module = exterior_module(2, "parity")
-    w = Subspace.from_span(np.eye(4, dtype=complex)[:, [1]])  # span{dx}
+    w = coordinate_span(4, [1])  # span{dx}
     with pytest.raises(NotInvariantError):
         invariant_dim_in(so2_group(module), w)
 
 
 def test_invariant_dim_in_trivial_group():
-    w = Subspace.from_span(np.eye(4, dtype=complex)[:, [1, 2]])  # not invariant under SO(2)
+    w = coordinate_span(4, [1, 2])  # not invariant under SO(2)
     assert invariant_dim_in(HolonomyGroup.trivial_group(2), w) == 2
 
 

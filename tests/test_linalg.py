@@ -1,18 +1,18 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from basicindex import (
     LinalgError,
-    Subspace,
     hermitian_eig,
     joint_eig,
+    local_index,
     nullspace,
-    subspace_intersection,
     wedge_op,
 )
-from closure_builders import random_hermitian
+from closure_builders import conjugated, cp2_closure, random_hermitian, random_unitary
 
 
 # --- closed-form oracles (written before the solver tests that use them) ---
@@ -110,54 +110,74 @@ def test_joint_eig_rotation_example_top_form():
     assert abs(abs(struct.basis[3, hits[0]]) - 1.0) < 1e-12
 
 
+def involution_family(rng, n, count):
+    """count commuting Hermitian L_j = t_j U diag(signs[j]) U^H, one random U, so
+    L_j^2 = t_j^2 I; returns the operators, the t_j and the signs."""
+    u = random_unitary(rng, n)
+    scales = rng.uniform(0.5, 2.0, size=count)
+    signs = rng.choice([-1.0, 1.0], size=(count, n))
+    return [t * (u * s) @ u.conj().T for t, s in zip(scales, signs)], scales, signs
+
+
 def test_joint_eig_construct_then_verify():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        a = random_hermitian(rng, 6)
-        p = a @ a - 2.0 * a
-        q = a @ a @ a + 0.5 * a
-        struct = joint_eig([p, q])
-        for op, col in ((p, 0), (q, 1)):
-            recon = struct.basis @ np.diag(struct.eigentuples[:, col]) @ struct.basis.conj().T
+        ops, scales, signs = involution_family(rng, 6, 3)
+        struct = joint_eig(ops)
+        basis = struct.basis
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(6)) < 1e-12
+        for col, op in enumerate(ops):
+            recon = basis @ np.diag(struct.eigentuples[:, col]) @ basis.conj().T
             assert np.linalg.norm(op - recon) < 1e-9 * max(1.0, np.linalg.norm(op))
-
-
-def test_joint_eig_rejects_non_commuting():
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    with pytest.raises(LinalgError, match="commute"):
-        joint_eig([sx, sz])
+        assert np.allclose(np.abs(struct.eigentuples), scales, atol=1e-12)
+        # clusters are the runs of one sign pattern, negative first, operator 0 first
+        runs = [tuple(row) for row in struct.eigentuples > 0.0]
+        assert runs == sorted(runs)
+        starts = [0] + [k for k in range(1, 6) if runs[k] != runs[k - 1]]
+        assert struct.clusters == tuple(zip(starts, starts[1:] + [6]))
+        assert Counter(runs) == Counter(tuple(row) for row in signs.T > 0.0)
 
 
 def test_intersection_with_self():
-    rng = np.random.default_rng(23)
-    s = Subspace.from_span(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-    assert subspace_intersection([s, s]).dim == s.dim
+    # a repeated operator adds no constraint: the all-negative columns span its
+    # negative eigenspace
+    (p,), (t,), signs = involution_family(np.random.default_rng(23), 6, 1)
+    struct = joint_eig([p, p])
+    inter = struct.basis[:, np.all(struct.eigentuples < 0.0, axis=1)]
+    assert inter.shape[1] == np.sum(signs < 0.0)
+    assert np.linalg.norm(p @ inter + t * inter) < 1e-12
 
 
 def test_intersection_coordinate_planes():
-    e = np.eye(3, dtype=complex)
-    a = Subspace.from_span(e[:, :2])
-    b = Subspace.from_span(e[:, 1:])
-    inter = subspace_intersection([a, b])
-    assert inter.dim == 1
-    assert abs(abs(inter.basis[1, 0]) - 1.0) < 1e-12
+    # negative on span(e_0, e_1) and on span(e_1, e_2): the intersection is the
+    # line through e_1, for the diagonal pair and for a dense copy of it
+    pair = [np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0])]
+    for u in (np.eye(3), random_unitary(np.random.default_rng(19), 3)):
+        struct = joint_eig([u @ a @ u.conj().T for a in pair])
+        inter = struct.basis[:, np.all(struct.eigentuples < 0.0, axis=1)]
+        assert inter.shape[1] == 1
+        assert abs(abs(np.vdot(u[:, 1], inter[:, 0])) - 1.0) < 1e-12
 
 
 def test_intersection_matches_rank_oracle():
+    # the intersection of the negative eigenspaces, each from its own eigh, has
+    # dimension n - rank of the stacked I - P_k
     rng = np.random.default_rng(29)
-    for _ in range(20):
-        ka, kb = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        a = rng.standard_normal((6, ka)) + 1j * rng.standard_normal((6, ka))
-        b = rng.standard_normal((6, kb)) + 1j * rng.standard_normal((6, kb))
-        sa, sb = Subspace.from_span(a), Subspace.from_span(b)
-        got = subspace_intersection([sa, sb]).dim
+    for n, count in ((6, 2), (8, 3)):
+        for _ in range(20):
+            ops, _, _ = involution_family(rng, n, count)
+            got = int(np.sum(np.all(joint_eig(ops).eigentuples < 0.0, axis=1)))
+            negs = [v[:, w < 0.0] for w, v in map(np.linalg.eigh, ops)]
+            stacked = np.vstack([np.eye(n) - a @ a.conj().T for a in negs])
+            assert got == n - int(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-9))
 
-        def rank(mat):
-            return int(np.sum(np.linalg.svd(mat, compute_uv=False) > 1e-9))
 
-        expected = rank(a) + rank(b) - rank(np.hstack([a, b]))
-        assert got == expected
+def test_joint_eig_rejects_non_commuting():
+    # two involutions: the split by sx leaves sz with no eigenvector to reconstruct
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(LinalgError, match="failed to reconstruct operator 1"):
+        joint_eig([sx, sz])
 
 
 def test_nullspace_zero_matrix():
@@ -180,6 +200,10 @@ def test_nullspace_random_rank():
 
 
 def test_subspace_orthonormal_invariant():
-    rng = np.random.default_rng(37)
-    s = Subspace.from_span(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
-    assert np.linalg.norm(s.basis.conj().T @ s.basis - np.eye(s.dim)) < s.tol
+    # the intersections local_index builds in a random module basis keep
+    # orthonormal columns
+    d = conjugated(cp2_closure(0.8, 2.1), random_unitary(np.random.default_rng(37), 16))
+    _, detail = local_index(d)
+    for side in (detail.plus, detail.minus):
+        s = side.intersection
+        assert np.linalg.norm(s.basis.conj().T @ s.basis - np.eye(s.dim)) < s.tol

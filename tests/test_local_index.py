@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from basicindex import (
     ClosureDatum,
     ClosureValidationError,
+    DegenerateEigenvalueError,
     HolonomyGroup,
     NotInvariantError,
     ScenarioModel,
@@ -28,6 +29,7 @@ from closure_builders import (
     carriere_closure,
     conjugated,
     cp2_closure,
+    hat_closure,
     random_unitary,
     reflected_closure,
     rotated_closure,
@@ -209,6 +211,15 @@ def test_cp2_sign_table(alpha, beta, expected):
     assert got == ((1, 0) if expected == 1 else (0, 1))
 
 
+def test_joint_eigenvalue_within_sign_tol_has_no_sign():
+    # Z_j = t chat(e_j) gives joint eigenvalues +-t: SIGN_TOL = 1e-8 lies between
+    # 3e-9, which has no sign, and 2e-8, which has one
+    with pytest.raises(DegenerateEigenvalueError,
+                       match=r"\|lambda\| = 3\.000e-09 <= sign_tol = 1\.000e-08"):
+        local_index(hat_closure(2, [3e-9, 3e-9]))
+    assert local_index(hat_closure(2, [2e-8, 2e-8]))[0] == 1
+
+
 def test_global_index_sums():
     sphere = ScenarioModel("sphere", 2, (sphere_closure("north"), sphere_closure("south")))
     assert global_index(sphere) == 2
@@ -311,7 +322,7 @@ def test_positive_rescaling_of_each_z_keeps_every_corpus_index(key, data):
 def test_unitary_change_of_module_basis_keeps_index_and_kernel(key, seed):
     # c, eps, Z and the holonomy actions move together, so every subspace the two
     # routes compare moves by the same unitary; the conjugated copy is dense, so it
-    # runs the dense validation kernel and the refined joint_eig
+    # runs the dense validation kernel and the dense sign split of joint_eig
     d = CORPUS_CLOSURES[key] if key in CORPUS_CLOSURES else reflected_closure()
     rotated = conjugated(d, random_unitary(np.random.default_rng(seed), d.module.dim))
     assert local_index(rotated)[0] == local_index(d)[0]

@@ -23,7 +23,14 @@ from basicindex import (
     oscillator_levels,
 )
 from basicindex.model_operator import eigentuple_blocks
-from closure_builders import ROT2, carriere_closure, cp2_closure, hat_closure, sphere_closure
+from closure_builders import (
+    ROT2,
+    carriere_closure,
+    cp2_closure,
+    hat_closure,
+    rotated_closure,
+    sphere_closure,
+)
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -149,6 +156,15 @@ def test_cross_check_scenarios():
     carriere = ScenarioModel("carriere", 2, (carriere_closure("quarter"),
                                              carriere_closure("three_quarters")))
     assert model_cross_check(carriere).kernel_total == 0
+
+
+def test_dense_m6_closure_counts_both_routes():
+    # a rotated exterior m = 6 closure: each grading side is a dense block of 32
+    # dimensions, so joint_eig splits by eigh rather than by sort
+    d = rotated_closure(6, np.random.default_rng(0))
+    assert local_index(d)[0] == 1
+    entry, = model_cross_check(ScenarioModel("rotated", 6, (d,))).entries
+    assert (entry.kernel_dims, entry.kernel_index, entry.local_index) == ((1, 0), 1, 1)
 
 
 def test_cross_check_analyses_each_closure_once(monkeypatch):

@@ -14,7 +14,6 @@ import pytest
 
 from basicindex import (
     ClosureDatum,
-    LinalgError,
     explicit_module,
     global_index,
     joint_eig,
@@ -23,7 +22,7 @@ from basicindex import (
     scenario_from_dict,
     validate_closure,
 )
-from basicindex.linalg import _monomial
+from basicindex.linalg import _monomial, _sign_split
 from closure_builders import (
     carriere_closure,
     conjugated,
@@ -34,7 +33,6 @@ from closure_builders import (
 )
 
 engine = importlib.import_module("basicindex.local_index")
-linalg = importlib.import_module("basicindex.linalg")
 
 
 def monomial_families(d):
@@ -105,41 +103,17 @@ def test_two_nonzeros_in_a_row_take_the_dense_path(monkeypatch):
     assert local_index(mixed)[0] == local_index(d)[0] == -1
 
 
-def near_tied_family(tol, rng):
-    # gaps of 0.9 and 0.95 tol chain into one cluster, gaps of 1.05 and 1.1 tol
-    # split; every norm is below 1, so the gap is tol itself
-    first = 0.3 + tol * np.array([0.0, 0.9, 1.8, 2.9, 0.0, 0.0, -1.1, -1.1])
-    second = np.array([0.1, 0.1, 0.1 + 0.95 * tol, -0.4, 0.2, 0.2 + 1.05 * tol, 0.0, 0.0])
-    third = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.2 + 0.5 * tol])
-    perm = rng.permutation(8)
-    return [np.diag(v[perm]).astype(complex) for v in (first, second, third)]
-
-
-def test_diagonal_joint_eig_matches_the_refinement():
-    tol = 1e-9
-    family = near_tied_family(tol, np.random.default_rng(3))
-    sort, refined = joint_eig(family, tol), linalg._refined_joint_eig(family, tol)
-    assert sort.clusters == refined.clusters == ((0, 2), (2, 5), (5, 6), (6, 7), (7, 8))
-    # within the chained cluster (2, 5) the first column keeps the values that
-    # the first level sorted, while the second level reorders the vectors
-    assert np.array_equal(sort.eigentuples, refined.eigentuples)
-    for lo, hi in sort.clusters:  # the same eigenspace for every cluster
-        a, b = sort.basis[:, lo:hi], refined.basis[:, lo:hi]
+def test_diagonal_joint_eig_matches_the_sign_split():
+    # the sort on sign bits gives the dense split's eigentuples and eigenspaces
+    signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(3, 12))
+    family = [np.diag(t * s).astype(complex) for t, s in zip([0.3, 1.0, 2.5], signs)]
+    sort = joint_eig(family)
+    basis, tuples = _sign_split(family, 1e-9)
+    assert np.array_equal(sort.eigentuples, tuples)
+    assert len(sort.clusters) == len({tuple(col) for col in signs.T})
+    for lo, hi in sort.clusters:
+        a, b = sort.basis[:, lo:hi], basis[:, lo:hi]
         assert np.allclose(a @ a.conj().T, b @ b.conj().T, atol=1e-12)
-
-
-def test_diagonal_joint_eig_fails_to_reconstruct_like_the_refinement():
-    # with tol = 1e-6 the chained cluster spreads the first operator's values by
-    # 1.8e-6, beyond the reconstruction bound of 1e-9 * dim
-    family = near_tied_family(1e-6, np.random.default_rng(3))
-    for solve in (joint_eig, linalg._refined_joint_eig):
-        with pytest.raises(LinalgError, match="failed to reconstruct operator 0"):
-            solve(family, 1e-6)
-
-
-def test_diagonal_joint_eig_rejects_non_hermitian():
-    with pytest.raises(LinalgError, match="operator 1 is not Hermitian"):
-        joint_eig([np.eye(2, dtype=complex), np.diag([1.0, 1j])])
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["ambient_m", "ambient_m_plus_1"])
