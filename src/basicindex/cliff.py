@@ -3,8 +3,10 @@
 The complexified exterior algebra of R^m is represented on C^(2^m) in bitmask
 order: the basis element for a subset S of {1..m} is dx_{i1} ^ ... ^ dx_{ik}
 with i1 < ... < ik, stored at position sum_{i in S} 2^(i-1).  Position 0 is
-the scalar 1 and position 2^m - 1 is the volume form.  All operators below
-are plain complex numpy matrices in this basis.
+the scalar 1 and position 2^m - 1 is the volume form.  Each c(e_a), chat(e_a),
+dx_a ^ and grading is a (partial) signed permutation of this basis: one
+monomial builder, _letters, writes them as index arrays, and the public
+builders return its dense views, plain complex numpy matrices.
 
 Sign conventions: c(e)^2 = -1 and chat(e)^2 = +1; wedge_op(j) is left
 multiplication by dx_j, so reordering signs follow from antisymmetry
@@ -18,15 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dense_adjoint_norms, _dense_norms, _read_only
+from .linalg import _concat, _dense_adjoint_norms, _dense_norms, _Monomial, _product, _read_only
 
 Array = np.ndarray
 
 
-def _frozen(a: Array) -> Array:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+def _degree_signs(m: int) -> Array:
+    """(-1)^(form degree) of each basis element of Lambda*(R^m)."""
+    return np.prod(1 - 2 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1), axis=1)
+
+
+def _letters(m: int, axes, signs, wedge: int = 1) -> _Monomial:
+    """wedge dx_a ^ + sign dx_a -| on Lambda*(R^m) for each letter a of axes and its sign
+    (c(e_a): 1, -1; chat(e_a): 1, 1; wedge_op: 1, 0; contract_op: 0, 1).  Row s holds
+    (-1)^#{i in s : i < a} times wedge (a in s) or sign (a not in s) at column s ^ bit(a)."""
+    s = np.arange(1 << m)
+    bits = (1 << (np.asarray(axes, dtype=np.int64) - 1))[:, None]
+    vals = _degree_signs(m)[s & (bits - 1)] * np.where(s & bits, wedge, np.reshape(signs, (-1, 1)))
+    return _Monomial(s ^ bits, vals.astype(complex))
 
 
 def wedge_op(j: int, m: int) -> Array:
@@ -37,15 +48,7 @@ def wedge_op(j: int, m: int) -> Array:
     """
     if not 1 <= j <= m:
         raise IndexError(f"generator index {j} out of range 1..{m}")
-    dim = 1 << m
-    bit = 1 << (j - 1)
-    w = np.zeros((dim, dim), dtype=complex)
-    for s in range(dim):
-        if s & bit:
-            continue
-        sign = -1.0 if bin(s & (bit - 1)).count("1") % 2 else 1.0
-        w[s | bit, s] = sign
-    return w
+    return _letters(m, [j], 0).dense()[0]
 
 
 def contract_op(j: int, m: int) -> Array:
@@ -53,17 +56,20 @@ def contract_op(j: int, m: int) -> Array:
     return wedge_op(j, m).conj().T
 
 
-def clifford_c(v: Array, m: int) -> Array:
-    """Clifford action c(v) = sum_j v_j (dx_j^ - dx_j-|); c(v)^2 = -|v|^2."""
+def _combination(v: Array, m: int, sign: int) -> Array:
+    """sum_j v_j (dx_j^ + sign dx_j-|) as a dense matrix."""
     v = np.asarray(v, dtype=float)
     if v.shape != (m,):
         raise ValueError(f"expected a real {m}-vector, got shape {v.shape}")
+    form = _letters(m, np.arange(1, m + 1), sign)
     out = np.zeros((1 << m, 1 << m), dtype=complex)
-    for j in range(m):
-        if v[j] != 0.0:
-            w = wedge_op(j + 1, m)
-            out += v[j] * (w - w.conj().T)
+    out[np.arange(1 << m), form.cols] += v[:, None] * form.vals  # disjoint supports
     return out
+
+
+def clifford_c(v: Array, m: int) -> Array:
+    """Clifford action c(v) = sum_j v_j (dx_j^ - dx_j-|); c(v)^2 = -|v|^2."""
+    return _combination(v, m, -1)
 
 
 def clifford_hat(v: Array, m: int) -> Array:
@@ -71,24 +77,12 @@ def clifford_hat(v: Array, m: int) -> Array:
 
     chat(u) anticommutes with every c(v).
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (m,):
-        raise ValueError(f"expected a real {m}-vector, got shape {v.shape}")
-    out = np.zeros((1 << m, 1 << m), dtype=complex)
-    for j in range(m):
-        if v[j] != 0.0:
-            w = wedge_op(j + 1, m)
-            out += v[j] * (w + w.conj().T)
-    return out
+    return _combination(v, m, 1)
 
 
 def parity_grading(m: int) -> Array:
     """Involution (-1)^(form degree) on Lambda*(R^m)."""
-    dim = 1 << m
-    eps = np.zeros((dim, dim), dtype=complex)
-    for s in range(dim):
-        eps[s, s] = -1.0 if bin(s).count("1") % 2 else 1.0
-    return eps
+    return np.diag(_degree_signs(m).astype(complex))
 
 
 def exterior_rep(g: Array) -> Array:
@@ -105,7 +99,7 @@ def exterior_rep(g: Array) -> Array:
     if np.linalg.norm(g.T @ g - np.eye(m)) > 1e-9:
         raise ValueError("g is not orthogonal within tolerance")
     dim = 1 << m
-    wedges = [sum(g[i, j] * wedge_op(i + 1, m) for i in range(m)) for j in range(m)]
+    wedges = [_combination(g[:, j], m, 0) for j in range(m)]  # sum_i g_ij wedge_op(i + 1)
     rep = np.zeros((dim, dim), dtype=complex)
     rep[0, 0] = 1.0
     # column for S = e_min(S) ^ e_(S minus its lowest index), filled in
@@ -128,13 +122,10 @@ def derived_exterior_action(x: Array) -> Array:
         raise ValueError("x must be square")
     if np.linalg.norm(x + x.T) > 1e-9:
         raise ValueError("x is not skew-symmetric within tolerance")
-    dim = 1 << m
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(m):
-        wi = wedge_op(i + 1, m)
-        for j in range(m):
-            if x[i, j] != 0.0:
-                out += x[i, j] * (wi @ contract_op(j + 1, m))
+    letters, (i, j) = range(1, m + 1), np.nonzero(x)
+    terms = _product(_concat(_letters(m, letters, 0), _letters(m, letters, 1, wedge=0)), i, m + j)
+    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    np.add.at(out, (np.arange(1 << m), terms.cols), x[i, j][:, None] * terms.vals)  # term order
     return out
 
 
@@ -152,15 +143,24 @@ class CliffordModule:
 
     c holds the m skew-Hermitian generator matrices with
     c_j c_k + c_k c_j = -2 delta_jk, and grading is a Hermitian involution
-    anticommuting with every c_j.
+    anticommuting with every c_j.  Both read ops: dense, or for an exterior
+    module a monomial stack that the engine reads as it is and that c and
+    grading make dense on each read, keeping nothing.
     """
 
     m: int
     dim: int
-    c: tuple[Array, ...]
-    grading: Array
+    ops: tuple[Array, ...] | _Monomial  # the stack (c_1, ..., c_m, grading)
     grading_kind: str = "explicit"  # "parity" | "chirality" | "explicit"
     exterior: ExteriorStructure | None = None
+
+    @property
+    def c(self) -> tuple[Array, ...]:
+        return tuple(self.ops[k] for k in range(self.m))
+
+    @property
+    def grading(self) -> Array:
+        return self.ops[self.m]
 
     def validate(self, tol: float = 1e-9) -> list[str]:
         """Return a list of invariant violations (empty when the module is valid).
@@ -173,13 +173,15 @@ class CliffordModule:
         if problems:
             return problems
         *rows, signs = _module_rows(self.m)
-        mats = [*self.c, self.grading]
+        mats = list(self.ops)
         viol = _dense_norms(mats, *rows)[0].tolist()
         return _module_report(self.m, viol, _dense_adjoint_norms(mats, signs).tolist(), tol)
 
 
 def _shape_problems(mod: CliffordModule) -> list[str]:
     problems = []
+    if isinstance(mod.ops, _Monomial):  # built square, m generators and a grading
+        return problems
     if len(mod.c) != mod.m:
         problems.append(f"expected {mod.m} generators, found {len(mod.c)}")
     for j, cj in enumerate(mod.c, start=1):
@@ -242,42 +244,25 @@ def exterior_module(
         raise ValueError("generator_axes must be m distinct letters")
     if any(not 1 <= a <= ambient for a in axes):
         raise ValueError(f"generator_axes must lie in 1..{ambient}")
-    dim = 1 << ambient
-    c = tuple(
-        _frozen(clifford_c(np.eye(ambient)[a - 1], ambient)) for a in axes
-    )
+    c = _letters(ambient, axes, -1)
     if grading == "parity":
-        eps = parity_grading(ambient)
+        eps = _Monomial(np.arange(1 << ambient)[None], _degree_signs(ambient)[None] + 0j)
     elif grading == "chirality":
         if m % 2:
             raise ValueError("chirality is central for odd m and cannot grade the module")
-        k = m // 2
-        eps = np.eye(dim, dtype=complex) * (1j**k)
-        for cj in c:
-            eps = eps @ cj
+        cols, vals = np.arange(1 << ambient), np.full(1 << ambient, 1j ** (m // 2))
+        for cj, vj in zip(c.cols, c.vals):  # i^(m/2) c_1 ... c_m, one product at a time
+            cols, vals = cj[cols], vals * vj[cols]
+        eps = _Monomial(cols[None], vals[None] + 0.0)  # + 0.0: no -0.0 parts, as in dense products
     else:
         raise ValueError(f"unknown grading kind {grading!r}")
-    return CliffordModule(
-        m=m,
-        dim=dim,
-        c=c,
-        grading=_frozen(eps),
-        grading_kind=grading,
-        exterior=ExteriorStructure(ambient_m=ambient, generator_axes=axes),
-    )
+    return CliffordModule(m=m, dim=1 << ambient, ops=_concat(c, eps), grading_kind=grading,
+                          exterior=ExteriorStructure(ambient_m=ambient, generator_axes=axes))
 
 
 def explicit_module(c: list[Array], grading: Array) -> CliffordModule:
     """Wrap explicitly given generator matrices and grading as a module."""
     if not c:
         raise ValueError("at least one generator matrix is required")
-    cs = tuple(_frozen(np.asarray(a, dtype=complex)) for a in c)
-    dim = cs[0].shape[0]
-    return CliffordModule(
-        m=len(cs),
-        dim=dim,
-        c=cs,
-        grading=_frozen(np.asarray(grading, dtype=complex)),
-        grading_kind="explicit",
-        exterior=None,
-    )
+    ops = _read_only(*(np.ascontiguousarray(a, dtype=complex) for a in [*c, grading]))
+    return CliffordModule(m=len(c), dim=ops[0].shape[0], ops=ops)

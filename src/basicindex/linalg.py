@@ -8,20 +8,19 @@ within one build (eigenvector phases are normalized deterministically).
 
 The private product kernels below evaluate an index plan of rows
 wp A_a A_b + wq A_b A_a + lam I, and of A_k + sign A_k^H, by Frobenius norm:
-_dense_norms walks dense matrices one row at a time, and _monomial_norms
-batches all rows over the monomial form, which carries the matrices of
-exterior modules (at most one nonzero per row), so that a product costs a
-gather.
+_dense_norms on dense matrices one row at a time, and _monomial_norms on a
+monomial stack (_Monomial: at most one nonzero per row, as in exterior
+modules), in batches of rows, where a product is a gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 Array = np.ndarray
+_BATCH = 1 << 12  # entries per batch of rows of the monomial kernel
 
 
 class LinalgError(ValueError):
@@ -36,20 +35,27 @@ def _norm(a: Array) -> float:
     return float(np.linalg.norm(a))
 
 
-class _Monomial(NamedTuple):
+class _Monomial:
     """A stack of square matrices with at most one nonzero per row.
 
     Row i of matrix k holds vals[k, i] at column cols[k, i] and zeros
     elsewhere (vals[k, i] may be 0).  Products compose the index arrays, so
     they cost O(d) per matrix and do no arithmetic on zeros: each entry is
-    the one product a dense multiplication would sum with zeros.
+    the one product a dense multiplication would sum with zeros.  As a
+    sequence it reads as its dense matrices (read-only), each built when it is
+    read and not kept: a reader that needs one twice keeps it.
     """
 
-    cols: Array  # (k, d) int
-    vals: Array  # (k, d) complex
+    def __init__(self, cols: Array, vals: Array):
+        self.cols, self.vals = cols, vals  # (k, d) int, (k, d) complex
 
-    def take(self, idx: Array) -> "_Monomial":
-        """The matrices at positions idx of the stack."""
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __getitem__(self, i: int) -> Array:
+        return _read_only(self.take([i]).dense()[0])[0]
+
+    def take(self, idx) -> "_Monomial":
         return _Monomial(self.cols[idx], self.vals[idx])
 
     def dense(self) -> Array:
@@ -58,6 +64,16 @@ class _Monomial(NamedTuple):
         out = np.zeros((k, d, d), dtype=complex)
         out[np.arange(k)[:, None], np.arange(d), self.cols] = self.vals
         return out
+
+
+def _diagonal(mats) -> Array | None:
+    """The (k, d) diagonals of a stack, or None if it is not diagonal."""
+    if isinstance(mats, _Monomial):
+        on = mats.cols == np.arange(mats.cols.shape[-1])
+        return np.where(on, mats.vals, 0.0) if np.all(on | (mats.vals == 0)) else None
+    stack = np.asarray(mats)
+    diagonals = np.diagonal(stack, axis1=1, axis2=2)
+    return diagonals if np.count_nonzero(stack) == np.count_nonzero(diagonals) else None
 
 
 def _monomial(mats) -> _Monomial | None:
@@ -121,7 +137,7 @@ def _adjoint_norms(a: _Monomial, signs: Array) -> Array:
     a^H holds conj(vals[i]) at (cols[i], i); it coincides with the entry of a
     at (i, cols[i]) exactly when cols[cols[i]] == i.
     """
-    cols, vals = a
+    cols, vals = a.cols, a.vals
     at = (np.arange(len(cols))[:, None], cols)
     paired = cols[at] == np.arange(cols.shape[-1])
     merged = vals + np.where(paired, signs[:, None] * vals[at].conj(), 0.0)
@@ -130,15 +146,19 @@ def _adjoint_norms(a: _Monomial, signs: Array) -> Array:
 
 def _monomial_norms(base: _Monomial, a: Array, b: Array, wp: Array, wq: Array, lam: Array,
                     ref: Array) -> tuple[Array, Array]:
-    """_dense_norms over the monomial stack base, every row in one batch."""
-    p, q = _product(base, a, b, wp), _product(base, b, a, wq)
-    own = np.flatnonzero(ref == np.arange(len(ref)))
-    rows = np.arange(p.cols.shape[-1])
-    trace = (np.where(p.cols[own] == rows, p.vals[own], 0.0)
-             + np.where(q.cols[own] == rows, q.vals[own], 0.0)).sum(axis=-1)
-    scalars = np.zeros(len(ref))
-    scalars[own] = (trace / len(rows)).real
-    return _norms(p, q, np.where(ref < 0, lam, -scalars[ref])), scalars
+    """_dense_norms over the monomial stack base, in batches of about _BATCH entries."""
+    d = base.cols.shape[-1]
+    rows, step = np.arange(d), max(1, _BATCH // d)
+    norms, scalars = np.zeros(len(ref)), np.zeros(len(ref))
+    for lo in range(0, len(ref), step):
+        n = slice(lo, lo + step)
+        p, q = _product(base, a[n], b[n], wp[n]), _product(base, b[n], a[n], wq[n])
+        own = np.flatnonzero(ref[n] == np.arange(lo, lo + len(p.cols)))
+        trace = (np.where(p.cols[own] == rows, p.vals[own], 0.0)
+                 + np.where(q.cols[own] == rows, q.vals[own], 0.0)).sum(axis=-1)
+        scalars[lo + own] = (trace / d).real
+        norms[n] = _norms(p, q, np.where(ref[n] < 0, lam[n], -scalars[ref[n]]))
+    return norms, scalars
 
 
 def _dense_norms(mats: list[Array], a: Array, b: Array, wp: Array, wq: Array, lam: Array,
@@ -241,12 +261,12 @@ class JointEigenstructure:
     ascending in the signs of their eigentuple.
     """
 
-    basis: Array  # (dim, dim) unitary
+    basis: Array  # (dim, dim) unitary; for a diagonal monomial family, order of I[:, order]
     eigentuples: Array  # (dim, number of operators) real
     clusters: tuple[tuple[int, int], ...]  # (start, stop) ranges of one sign pattern
 
 
-def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
+def joint_eig(ops: list[Array] | _Monomial, tol: float = 1e-9) -> JointEigenstructure:
     """Joint eigenbasis of commuting Hermitian matrices that square to scalars.
 
     Under that contract, L_j^2 = g_jj I, every eigenvalue of L_j is
@@ -257,23 +277,25 @@ def joint_eig(ops: list[Array], tol: float = 1e-9) -> JointEigenstructure:
     validate_closure; here only the reconstruction of every operator is
     verified, which also rejects a non-commuting family.  When every operator
     is diagonal (no nonzero off the diagonal), the split is one stable sort on
-    the sign bits.  Columns are ordered by sign pattern, negative first and
-    operator 0 most significant; clusters are the runs of one pattern.
+    the sign bits; ops may then be a monomial stack.  Columns are ordered by
+    sign pattern, negative first and operator 0 most significant; clusters
+    are the runs of one pattern.
     """
-    if not ops:
+    if not len(ops):
         raise LinalgError("at least one operator is required")
-    mats = [np.asarray(op, dtype=complex) for op in ops]
-    dim = mats[0].shape[0]
-    for j, a in enumerate(mats):
+    monomial = isinstance(ops, _Monomial)
+    mats = ops if monomial else [np.asarray(op, dtype=complex) for op in ops]
+    dim = ops.cols.shape[-1] if monomial else mats[0].shape[0]
+    for j, a in enumerate([] if monomial else mats):  # a monomial stack is square
         if a.shape != (dim, dim):
             raise LinalgError(f"operator {j} has shape {a.shape}, expected {(dim, dim)}")
-    stack = np.asarray(mats)
-    diagonals = np.diagonal(stack, axis1=1, axis2=2)
-    if np.count_nonzero(stack) == np.count_nonzero(diagonals):
+    diagonals = _diagonal(mats)
+    if diagonals is not None:
         order = np.lexsort(diagonals.real[::-1] >= 0.0)
-        basis, tuples = np.eye(dim, dtype=complex)[:, order], diagonals.real[:, order].T
+        basis = order if monomial else np.eye(dim, dtype=complex)[:, order]
+        tuples = diagonals.real[:, order].T
     else:
-        basis, tuples = _sign_split(mats, tol)
+        basis, tuples = _sign_split(list(mats), tol)
     starts = np.flatnonzero(np.any(np.diff(tuples < 0.0, axis=0), axis=1)) + 1
     bounds = [0, *starts.tolist(), dim] if dim else []
     return JointEigenstructure(basis=basis, eigentuples=tuples,

@@ -28,6 +28,8 @@ from .linalg import (
     _concat,
     _dense_adjoint_norms,
     _dense_norms,
+    _diagonal,
+    _Monomial,
     _monomial,
     _monomial_norms,
     _product,
@@ -50,11 +52,11 @@ class ClosureValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ClosureDatum:
-    """Local data at one critical leaf closure."""
+    """Local data at one critical leaf closure; z is dense, or monomial like module.ops."""
 
     name: str
     module: CliffordModule
-    z: tuple[Array, ...]
+    z: tuple[Array, ...] | _Monomial
     holonomy: HolonomyGroup
 
 
@@ -85,7 +87,8 @@ class ClosureValidation:
     closure: str
     checks: tuple[ValidationCheck, ...]
     gram: Array  # the m x m scalar matrix G_jk
-    l_ops: tuple[Array, ...] = field(default=(), repr=False)  # L_j = c_j Z_j, once computed
+    # L_j = c_j Z_j once computed, monomial when c, grading and Z are
+    l_ops: tuple[Array, ...] | _Monomial = field(default=(), repr=False)
 
     @property
     def passed(self) -> bool:
@@ -182,7 +185,6 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     checks: list[ValidationCheck] = []
     mod = d.module
     m, dim = mod.m, mod.dim
-    eps = mod.grading
 
     def add(name, severity, violation, threshold, note=""):
         checks.append(ValidationCheck(name, severity, violation <= threshold, violation, note))
@@ -191,27 +193,28 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
         add(name, "hard", float(len(problems)), 0.0, "; ".join(problems))
 
     shape_problems = _shape_problems(mod)
-    if shape_problems or len(d.z) != m or any(zj.shape != (dim, dim) for zj in d.z):
+    if shape_problems or len(d.z) != m or not isinstance(d.z, _Monomial) and any(
+            zj.shape != (dim, dim) for zj in d.z):
         add_problems("module_clifford_relations", mod.validate(tol))
         if not shape_problems:
             add_problems("perturbation_shapes", [f"expected {m} matrices of shape {(dim, dim)}"])
         return ClosureValidation(d.name, tuple(checks), np.zeros((m, m)))
 
     plan = _closure_rows(m)
-    mats = [*mod.c, eps, *d.z]
-    base = _monomial(mats)
+    forms = [a if isinstance(a, _Monomial) else _monomial(a) for a in (mod.ops, d.z)]
     z, l = slice(m + 1, 2 * m + 1), slice(2 * m + 1, None)
-    if base is None:
+    if any(f is None for f in forms):
+        mats = [*mod.ops, *d.z]
         mats += [mats[j] @ mats[m + 1 + j] for j in range(m)]  # L_j = c_j Z_j
         viol, scalars = _dense_norms(mats, *plan.rows)
         adjoint = _dense_adjoint_norms(mats, plan.signs)
         l_ops, size = tuple(mats[l]), [np.linalg.norm(zj) for zj in d.z]
     else:
-        c = np.arange(m)
+        c, base = np.arange(m), _concat(*forms)
         base = _concat(base, _product(base, c, c + m + 1))
         viol, scalars = _monomial_norms(base, *plan.rows)
         adjoint = _adjoint_norms(base, plan.signs)
-        l_ops, size = tuple(base.take(l).dense()), _row_norms(base.vals[z].view(float))
+        l_ops, size = base.take(l), _row_norms(base.vals[z].view(float))
     viol, adjoint = viol.tolist(), adjoint.tolist()
     module, odd, diag_anti, off, gram_rows, grade, square, comm_rows = plan.parts
     add_problems("module_clifford_relations", _module_report(m, viol[module], adjoint[:m + 1], tol))
@@ -245,11 +248,9 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     hol_problems = d.holonomy.validate(dim, tol)
     add_problems("holonomy_matrices", hol_problems)
     if not hol_problems:
-        grading_comm = 0.0
-        for _, rho in d.holonomy.components:
-            grading_comm = max(grading_comm, float(np.linalg.norm(rho @ eps - eps @ rho)))
-        for _, dx in d.holonomy.infinitesimal:
-            grading_comm = max(grading_comm, float(np.linalg.norm(dx @ eps - eps @ dx)))
+        acts = [a for _, a in (*d.holonomy.components, *d.holonomy.infinitesimal)]
+        eps = mod.grading if acts else None  # a monomial grading is made dense only here
+        grading_comm = max((float(np.linalg.norm(a @ eps - eps @ a)) for a in acts), default=0.0)
         add("holonomy_commutes_with_grading", "hard", grading_comm, tol * scale)
         add("equivariance", "warning", check_equivariance(d.holonomy, mod, d.z), tol * scale,
             "diagnostic only; flagged data still computes")
@@ -308,20 +309,33 @@ class ClosureAnalysis:
     """A validated closure up to, not including, any holonomy step: sides holds
     (U, joint_eig of the U^H L_j U) for the +1, then the -1 eigenspace of the
     grading, U an orthonormal basis of it; no joint eigenvalue is within
-    SIGN_TOL of 0."""
+    SIGN_TOL of 0; a diagonal grading keeps U, and diagonal L_j the basis, as index arrays."""
 
     datum: ClosureDatum
     sides: tuple[tuple[Array, JointEigenstructure], ...]
     tol: float
 
+    def vectors(self, side: int, cols: Array) -> Array:
+        """Columns cols of U @ basis on side 0 (+1) or 1 (-1), dense."""
+        u, basis = self.sides[side][0], self.sides[side][1].basis
+        if u.ndim == 2:
+            return u @ basis[:, cols]
+        out = np.zeros((self.datum.module.dim, len(cols)), dtype=complex)
+        if basis.ndim == 2:
+            out[u] = basis[:, cols]
+        else:
+            out[u[basis[cols]], np.arange(len(cols))] = 1.0
+        return out
+
     def index_detail(self) -> tuple[int, LocalIndexDetail]:
         """The intersection route of local_index on this analysis."""
         sides = []
-        for u, struct in self.sides:
+        for side, (_, struct) in enumerate(self.sides):
             # Exact: the negative eigenspaces are spanned by columns of one joint eigenbasis.
             # invariant_dim_in gates leaks at max(tol, INTERSECTION_TOL).
-            negative = np.all(struct.eigentuples < 0.0, axis=1)
-            inter = Subspace(u.shape[0], u @ struct.basis[:, negative], INTERSECTION_TOL)
+            negative = np.flatnonzero(np.all(struct.eigentuples < 0.0, axis=1))
+            inter = Subspace(self.datum.module.dim, self.vectors(side, negative),
+                             INTERSECTION_TOL)
             sides.append(GradedSide(
                 eigentuples=struct.eigentuples,
                 dim_intersection=inter.dim,
@@ -341,24 +355,26 @@ def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureAnalysi
     if not report.passed:
         raise ClosureValidationError(
             "closure data failed validation:\n" + report.summary())
-    eps = d.module.grading
-    diagonal = np.count_nonzero(eps) == np.count_nonzero(np.diagonal(eps))
-    if diagonal:
-        # the grading's eigenspaces are coordinate subspaces, so u = eye[:, keep]
-        # and u^H L_j u is the L_j block on keep
-        w, v = eps.diagonal().real, np.eye(d.module.dim, dtype=complex)
-    else:
-        w, v = hermitian_eig(eps, tol)
+    mod, l_ops = d.module, report.l_ops
+    eps = _diagonal(mod.ops.take([mod.m]) if isinstance(mod.ops, _Monomial) else mod.grading[None])
+    diagonals = None if eps is None else _diagonal(l_ops)
+    if eps is None:
+        w, v = hermitian_eig(mod.grading, tol)
+    else:  # coordinate eigenspaces: u = eye[:, keep] is kept as the index array keep
+        w = eps[0].real
     if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
         raise ClosureValidationError("grading eigenvalues are not +/-1")
     sides = []
     for sign in (+1.0, -1.0):
         keep = np.abs(w - sign) < 0.5
-        u = v[:, keep]
-        if diagonal:
-            restricted = [lj[np.ix_(keep, keep)] for lj in report.l_ops]
-        else:
-            restricted = [u.conj().T @ lj @ u for lj in report.l_ops]
+        if eps is None:
+            u = v[:, keep]
+            restricted = [u.conj().T @ lj @ u for lj in l_ops]
+        elif diagonals is None:  # u^H L_j u is the block of L_j on keep
+            u, restricted = np.flatnonzero(keep), [lj[np.ix_(keep, keep)] for lj in l_ops]
+        else:  # and for diagonal L_j, its diagonal there
+            u, block = np.flatnonzero(keep), diagonals[:, keep]
+            restricted = _Monomial(np.broadcast_to(np.arange(len(u)), block.shape), block)
         sides.append((u, joint_eig(restricted, tol)))
     smallest = min(float(np.min(np.abs(struct.eigentuples))) for _, struct in sides)
     if smallest <= SIGN_TOL:

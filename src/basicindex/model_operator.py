@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import JointEigenstructure, nullspace
+from .linalg import nullspace
 from .local_index import (
     ClosureAnalysis,
     ClosureDatum,
@@ -163,9 +163,8 @@ def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL) -> 
     )
 
 
-def _kernel_dim_for_sign(d: ClosureDatum, u: Array, struct: JointEigenstructure,
-                         tol: float) -> int:
-    """Holonomy-invariant dimension of the model kernel on one grading side.
+def _kernel_dim_for_sign(a: ClosureAnalysis, side: int) -> int:
+    """Holonomy-invariant dimension of the model kernel on one grading side (0: +1, 1: -1).
 
     Kernel sections are Gaussian pairs (Q, v) with Q = diag(eigentuple) in
     slice coordinates and v a joint eigenvector with all-negative tuple; a
@@ -176,14 +175,14 @@ def _kernel_dim_for_sign(d: ClosureDatum, u: Array, struct: JointEigenstructure,
     structural leak (kernel not preserved, form not fixed by a component) is
     an inconsistency error rather than a number.  The all-negative columns
     share one tuple, -sqrt(diag(G)), so one form Q serves the side.  Each
-    generator is restricted once to the columns u @ basis[:, cols], which are
-    formed only for nontrivial holonomy.
+    generator is restricted once to those columns of the joint eigenbasis,
+    which are formed only for nontrivial holonomy.
     """
+    d, struct, group = a.datum, a.sides[side][1], a.datum.holonomy
     cols = np.flatnonzero(np.all(struct.eigentuples < 0.0, axis=1))
-    group = d.holonomy
     if group.trivial or not len(cols):
         return len(cols)
-    n_basis = u @ struct.basis[:, cols]
+    n_basis = a.vectors(side, cols)
     lam = np.diag(struct.eigentuples[cols[0]])
     outside = np.eye(d.module.dim, dtype=complex) - n_basis @ n_basis.conj().T
     eye = np.eye(len(cols))
@@ -207,7 +206,7 @@ def _kernel_dim_for_sign(d: ClosureDatum, u: Array, struct: JointEigenstructure,
         r = restricted("infinitesimal", gi, dx)
         # the flow moves a drifting form: no invariants there
         rows.append(r + eye if np.linalg.norm(x @ lam + lam @ x.T) > 1e-7 else r)
-    return nullspace(np.vstack(rows), tol).dim
+    return nullspace(np.vstack(rows), a.tol).dim
 
 
 def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[int, int]:
@@ -223,7 +222,7 @@ def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[int, in
 
 def _checked_kernel_dims(a: ClosureAnalysis) -> tuple[tuple[int, int], int]:
     """Kernel-route (plus, minus) dims, checked against the intersection route's local index."""
-    kp, km = (_kernel_dim_for_sign(a.datum, u, struct, a.tol) for u, struct in a.sides)
+    kp, km = (_kernel_dim_for_sign(a, side) for side in (0, 1))
     ind, detail = a.index_detail()
     if (kp, km) != (detail.plus.dim_invariant, detail.minus.dim_invariant):
         raise RouteConsistencyError(

@@ -3,9 +3,9 @@
 Scenarios are JSON documents; complex entries are two-element arrays
 [re, im], matrices are row-major arrays of row arrays.  Schema errors name
 the offending key path; NaN and +/-Infinity, which Python's json accepts,
-are schema errors.  Loading is side-effect free and materializes all
-derived matrices (hat_linear perturbations, derive-from-exterior holonomy
-actions) so the returned model is plain data.
+are schema errors.  Loading is side-effect free.  Exterior modules and
+hat_linear perturbations stay in monomial form (dense when read), and
+derive-from-exterior holonomy actions are built as matrices.
 """
 
 from __future__ import annotations
@@ -18,18 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliff import (
-    CliffordModule,
-    clifford_c,
-    clifford_hat,
-    explicit_module,
-    exterior_module,
-)
+from .cliff import CliffordModule, _letters, explicit_module, exterior_module
 from .holonomy import (
     HolonomyGroup,
     derive_component_action,
     derive_infinitesimal_action,
 )
+from .linalg import _Monomial
 from .local_index import ClosureDatum, ScenarioModel
 from .localization import CircleModel, FourierMatrixFunction
 
@@ -165,7 +160,8 @@ def _parse_module(obj: dict, m: int, path: str) -> CliffordModule:
     raise ScenarioFormatError(f"{path}.kind", f"unknown module kind {kind!r}")
 
 
-def _parse_perturbation(obj: dict, module: CliffordModule, path: str) -> tuple[Array, ...]:
+def _parse_perturbation(obj: dict, module: CliffordModule, path: str
+                        ) -> tuple[Array, ...] | _Monomial:
     kind = _want(obj, "kind", str, path)
     m, dim = module.m, module.dim
     if kind == "explicit":
@@ -183,7 +179,7 @@ def _parse_perturbation(obj: dict, module: CliffordModule, path: str) -> tuple[A
             raise ScenarioFormatError(f"{path}.coefficients",
                                       f"expected {m} entries, got {len(coeffs)}")
         ambient = module.exterior.ambient_m
-        out = []
+        axes, signs, factors = [], [], []
         for j, entry in enumerate(coeffs):
             epath = f"{path}.coefficients[{j}]"
             if not isinstance(entry, list) or len(entry) not in (2, 3):
@@ -195,16 +191,15 @@ def _parse_perturbation(obj: dict, module: CliffordModule, path: str) -> tuple[A
             scale = _finite(scale, f"{epath}[0]")
             if not _is_int(axis) or not 1 <= axis <= ambient:
                 raise ScenarioFormatError(f"{epath}[1]", f"expected a letter in 1..{ambient}")
-            unit = np.eye(ambient)[axis - 1]
-            if form == "hat":
-                out.append(scale * clifford_hat(unit, ambient))
-            elif form == "ic":
-                out.append(scale * 1j * clifford_c(unit, ambient))
-            else:
+            if form not in ("hat", "ic"):
                 raise ScenarioFormatError(f"{epath}[2]",
                                           f"unknown constructor form {form!r} "
                                           "(expected 'hat' or 'ic')")
-        return tuple(out)
+            axes.append(axis)  # Z_j = scale chat(e_axis), or scale i c(e_axis)
+            signs.append(1 if form == "hat" else -1)
+            factors.append(scale if form == "hat" else scale * 1j)
+        z = _letters(ambient, axes, signs)
+        return _Monomial(z.cols, np.array(factors, dtype=complex)[:, None] * z.vals)
     raise ScenarioFormatError(f"{path}.kind", f"unknown perturbation kind {kind!r}")
 
 

@@ -128,3 +128,71 @@ def conjugated(d, u):
         tuple(conj(z) for z in d.z),
         HolonomyGroup(hol.m, tuple((x, conj(dx)) for x, dx in hol.infinitesimal),
                       tuple((g, conj(rho)) for g, rho in hol.components)))
+
+
+# --- per-basis-element reference builders: the original dense loops, kept as an
+# oracle for the monomial builder behind the public dense ones ---
+
+def reference_wedge_op(j, m):
+    """dx_j ^ (.) on Lambda*(R^m), one basis element at a time."""
+    dim = 1 << m
+    bit = 1 << (j - 1)
+    w = np.zeros((dim, dim), dtype=complex)
+    for s in range(dim):
+        if s & bit:
+            continue
+        sign = -1.0 if bin(s & (bit - 1)).count("1") % 2 else 1.0
+        w[s | bit, s] = sign
+    return w
+
+
+def reference_clifford(v, m, hat=False):
+    """c(v) = sum_j v_j (w_j - w_j^H), or chat(v) = sum_j v_j (w_j + w_j^H) when hat."""
+    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    for j in range(m):
+        if v[j] != 0.0:
+            w = reference_wedge_op(j + 1, m)
+            out += v[j] * (w + w.conj().T if hat else w - w.conj().T)
+    return out
+
+
+def reference_parity(m):
+    dim = 1 << m
+    eps = np.zeros((dim, dim), dtype=complex)
+    for s in range(dim):
+        eps[s, s] = -1.0 if bin(s).count("1") % 2 else 1.0
+    return eps
+
+
+def reference_exterior(m, grading, ambient, axes):
+    """(c_1..c_m, grading) of exterior_module(m, grading, ambient, axes), densely."""
+    c = [reference_clifford(np.eye(ambient)[a - 1], ambient) for a in axes]
+    if grading == "parity":
+        return c, reference_parity(ambient)
+    eps = np.eye(1 << ambient, dtype=complex) * (1j ** (m // 2))
+    for cj in c:
+        eps = eps @ cj
+    return c, eps
+
+
+def reference_exterior_rep(g):
+    m, dim = len(g), 1 << len(g)
+    wedges = [sum(g[i, j] * reference_wedge_op(i + 1, m) for i in range(m)) for j in range(m)]
+    rep = np.zeros((dim, dim), dtype=complex)
+    rep[0, 0] = 1.0
+    for s in range(1, dim):
+        low = (s & -s).bit_length() - 1
+        rep[:, s] = wedges[low] @ rep[:, s & (s - 1)]
+    return rep
+
+
+def reference_derived_action(x):
+    m, dim = len(x), 1 << len(x)
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(m):
+        wi = reference_wedge_op(i + 1, m)
+        for j in range(m):
+            if x[i, j] != 0.0:
+                out += x[i, j] * (wi @ reference_wedge_op(j + 1, m).conj().T)
+    return out
+

@@ -180,12 +180,15 @@ def test_criterion_7_property_suites():
 
     for name in GOLDEN:
         for d in load_corpus_scenario(name).closures:
-            for u, struct in analyze_closure(d).sides:
-                restricted = [u.conj().T @ (d.module.c[j] @ d.z[j]) @ u
-                              for j in range(d.module.m)]
-                for j, op in enumerate(restricted):
-                    recon = struct.basis @ np.diag(struct.eigentuples[:, j]) \
-                        @ struct.basis.conj().T
+            a = analyze_closure(d)
+            for side, (_, struct) in enumerate(a.sides):
+                # U @ basis, dense: the joint eigenvectors in module coordinates, so
+                # U^H L_j U = basis diag basis^H reads V^H L_j V = diag
+                v = a.vectors(side, np.arange(len(struct.eigentuples)))
+                assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) < 1e-12
+                for j in range(d.module.m):
+                    op = v.conj().T @ (d.module.c[j] @ d.z[j]) @ v
+                    recon = np.diag(struct.eigentuples[:, j])
                     assert np.linalg.norm(op - recon) < 1e-9 * max(1.0, np.linalg.norm(op))
 
     # all-negative joint eigenspace vs the rank oracle on random commuting

@@ -165,6 +165,17 @@ def test_localize_counts_each_grading_block(tmp_path, harmonic):
     assert [(r["kernel_plus"], r["kernel_minus"]) for r in rows] == [(harmonic, harmonic)] * 3
 
 
+def test_cli_import_loads_no_scipy():
+    # every command pays the import; scipy loads only where the oracle or the circle
+    # lab solves, inside the function that needs it
+    src = str(Path(basicindex.__file__).resolve().parents[1])
+    probe = "import sys, basicindex.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("extra", [[], ["--jmax", "12"]])
 def test_localize_single_thread_blas_certifies_clusters(tmp_path, extra):
     # with 1-thread BLAS the solve on H+ at s = 1000 ends inside the 6-fold level at

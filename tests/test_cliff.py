@@ -13,7 +13,16 @@ from basicindex import (
     parity_grading,
     wedge_op,
 )
-from closure_builders import random_orthogonal
+from basicindex.scenario import scenario_from_dict
+from closure_builders import (
+    random_orthogonal,
+    reference_clifford,
+    reference_derived_action,
+    reference_exterior_rep,
+    reference_exterior,
+    reference_parity,
+    reference_wedge_op,
+)
 
 
 def basis_vec(position, m):
@@ -235,3 +244,69 @@ def test_exterior_module_ambient_letters():
     assert mod.validate(1e-10) == []
     w2 = wedge_op(2, 2)
     assert np.allclose(mod.c[0], w2 - w2.conj().T)
+
+
+# --- the monomial builder against the per-basis-element reference loops ---
+
+def bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_dense_builders_equal_the_reference_loops_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    for j in range(1, m + 1):
+        w = reference_wedge_op(j, m)
+        assert bitwise(wedge_op(j, m), w)
+        assert bitwise(contract_op(j, m), w.conj().T)
+    for v in (np.eye(m)[m - 1], -rng.uniform(0.5, 2.0, m),
+              rng.standard_normal(m) * (rng.random(m) < 0.5)):
+        assert bitwise(clifford_c(v, m), reference_clifford(v, m))
+        assert bitwise(clifford_hat(v, m), reference_clifford(v, m, hat=True))
+    assert bitwise(parity_grading(m), reference_parity(m))
+    if m <= 6:  # the derived actions, from dense products of the reference wedges
+        g = random_orthogonal(rng, m)
+        # a diagonal within the skew tolerance makes terms of one entry add up in order
+        x = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.7)
+        x = x - x.T + 1e-12 * np.diag(rng.standard_normal(m))
+        assert bitwise(exterior_rep(g), reference_exterior_rep(g))
+        assert bitwise(derived_exterior_action(x), reference_derived_action(x))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_exterior_module_equals_the_reference_loops_bit_for_bit(m):
+    rng = np.random.default_rng(10 + m)
+    for grading in ("parity", "chirality") if m % 2 == 0 else ("parity",):
+        for ambient in (m, m + 1) if m < 8 else (m,):
+            axes = tuple(int(a) for a in rng.permutation(ambient)[:m] + 1)
+            module = exterior_module(m, grading, ambient_m=ambient, generator_axes=axes)
+            c, eps = reference_exterior(m, grading, ambient, axes)
+            assert all(bitwise(x, y) for x, y in zip(module.c, c, strict=True))
+            assert bitwise(module.grading, eps)
+
+
+@pytest.mark.parametrize("first", ["hat", "ic"])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_hat_linear_z_equals_the_reference_loops(m, first):
+    # Z_j = scale chat(e_axis) ('hat') or scale i c(e_axis) ('ic'), on permuted letters of
+    # an ambient algebra with one letter to spare
+    rng = np.random.default_rng(20 + m)
+    ambient = m + 1 if m < 8 else m
+    forms = [first, {"hat": "ic", "ic": "hat"}[first]] * m
+    coeffs = [[float(s), int(a), f] for s, a, f in
+              zip(rng.uniform(-2.0, 2.0, m), rng.permutation(ambient)[:m] + 1, forms)]
+    model = scenario_from_dict({
+        "name": "z", "codimension": m,
+        "closures": [{"name": "c", "normal_dim": m,
+                      "module": {"kind": "exterior", "grading": "parity", "ambient_dim": ambient},
+                      "perturbation": {"kind": "hat_linear", "coefficients": coeffs},
+                      "holonomy": {"kind": "trivial"}}]})
+    for zj, (scale, axis, form) in zip(model.closures[0].z, coeffs, strict=True):
+        unit = np.eye(ambient)[axis - 1]
+        ref = (scale * reference_clifford(unit, ambient, hat=True) if form == "hat"
+               else scale * 1j * reference_clifford(unit, ambient))
+        # every entry that the signed permutation holds is the same bits; the zero
+        # entries are +0.0, where scaling a dense matrix by a negative scale left -0.0
+        assert bitwise(zj[ref != 0], ref[ref != 0])
+        assert np.array_equal(zj, ref)
+

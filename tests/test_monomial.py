@@ -8,6 +8,8 @@ parity closure must match its closed form.
 """
 
 import importlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +19,13 @@ from basicindex import (
     explicit_module,
     global_index,
     joint_eig,
+    load_scenario,
     local_index,
     model_cross_check,
     scenario_from_dict,
     validate_closure,
 )
-from basicindex.linalg import _monomial, _sign_split
+from basicindex.linalg import _Monomial, _monomial, _sign_split
 from closure_builders import (
     carriere_closure,
     conjugated,
@@ -103,6 +106,25 @@ def test_two_nonzeros_in_a_row_take_the_dense_path(monkeypatch):
     assert local_index(mixed)[0] == local_index(d)[0] == -1
 
 
+def test_l_ops_of_monomial_data_stay_monomial():
+    # from an exterior module with dense Z_j (classified) and from the loader (stored)
+    d = hat_closure(4, [0.7, -1.3, 1.1, 1.9])
+    loaded = scenario_from_dict({
+        "name": "hat", "codimension": 4,
+        "closures": [{"name": "c", "normal_dim": 4,
+                      "module": {"kind": "exterior", "grading": "parity"},
+                      "perturbation": {"kind": "hat_linear", "coefficients": [
+                          [0.7, 1], [-1.3, 2], [1.1, 3, "hat"], [1.9, 4, "hat"]]},
+                      "holonomy": {"kind": "trivial"}}]}).closures[0]
+    for closure in (d, loaded):
+        assert isinstance(closure.module.ops, _Monomial)
+        l_ops = validate_closure(closure).l_ops
+        assert isinstance(l_ops, _Monomial)
+        for lj, cj, zj in zip(l_ops, closure.module.c, closure.z, strict=True):
+            assert np.array_equal(lj, cj @ zj)
+    assert isinstance(loaded.z, _Monomial)
+
+
 def test_diagonal_joint_eig_matches_the_sign_split():
     # the sort on sign bits gives the dense split's eigentuples and eigenspaces
     signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(3, 12))
@@ -139,3 +161,30 @@ def test_hat_linear_parity_index_closed_form(m, extra):
         assert global_index(model) == expected, signs
         report = model_cross_check(model)
         assert report.kernel_total == report.global_index == expected, signs
+
+
+def test_m10_hat_linear_closure_is_certified_below_one_dense_matrix(tmp_path):
+    # the loader, validation, the graded restriction and the sign sort all stay
+    # monomial: one dense 1024 x 1024 complex matrix is 16 MB
+    m = 10
+    scales = np.random.default_rng(10).uniform(0.5, 2.0, m)
+    path = tmp_path / "scaling_m10.json"
+    path.write_text(json.dumps({
+        "name": "scaling_m10", "codimension": m, "expected_index": 1,
+        "closures": [{
+            "name": "scaling_m10", "normal_dim": m,
+            "module": {"kind": "exterior", "grading": "parity"},
+            "perturbation": {"kind": "hat_linear",
+                             "coefficients": [[float(s), j + 1] for j, s in enumerate(scales)]},
+            "holonomy": {"kind": "trivial"},
+        }],
+    }))
+    tracemalloc.start()
+    try:
+        report = model_cross_check(load_scenario(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.kernel_total == report.global_index == 1
+    assert peak < 1024 * 1024 * 16, peak
+
