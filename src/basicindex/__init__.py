@@ -7,7 +7,12 @@ restricted to the grading, and the holonomy-invariant dimensions thereof.
 This package computes that localized index, cross-validates it against the
 kernel of the associated harmonic-oscillator model, and demonstrates the
 spectral localization numerically on a 1D periodic laboratory.
+
+The circle lab (localization) is imported on first access of one of its
+names, so that a command that does not use it does not pay for it.
 """
+
+from importlib import import_module as _import_module
 
 from .cliff import (
     CliffordModule,
@@ -46,17 +51,6 @@ from .local_index import (
     odd_invertible_perturbation,
     validate_closure,
 )
-from .localization import (
-    CircleModel,
-    CircleModelError,
-    ConvergenceReport,
-    DiscretizationError,
-    FourierMatrixFunction,
-    carriere_preset,
-    convergence_report,
-    cosine_preset,
-    model_spectrum_at_zeros,
-)
 from .model_operator import (
     ModelSpectrum,
     RouteConsistencyError,
@@ -78,3 +72,23 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
+
+# the circle lab's exported names, the module's own among them, imported on first
+# access (PEP 562)
+_LAZY = ("localization", "CircleModel", "CircleModelError", "ConvergenceReport",
+         "DiscretizationError", "FourierMatrixFunction", "carriere_preset",
+         "convergence_report", "cosine_preset", "model_spectrum_at_zeros")
+# the public names bound above (the eager submodules among them), then the lazy ones
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.localization")
+    globals()[name] = value = module if name == "localization" else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

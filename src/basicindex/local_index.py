@@ -113,7 +113,8 @@ class ClosureValidation:
 
 
 class _ClosureRows(NamedTuple):
-    """The closure checks as one index plan for m generators, built once per m.
+    """The closure checks as one index plan for m generators, built once per m
+    with and once without the diagnostic rows c_k Z_j + Z_j c_k (k != j).
 
     Both product kernels, linalg._dense_norms and linalg._monomial_norms,
     evaluate its rows (a, b, wp, wq, lam, ref): wp a b + wq b a + lam I over
@@ -133,10 +134,10 @@ class _ClosureRows(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _closure_rows(m: int) -> _ClosureRows:
+def _closure_rows(m: int, diagnostics: bool = True) -> _ClosureRows:
     c, eps = np.arange(m), np.full(m, m)
     z, lm = c + m + 1, c + 2 * m + 1
-    j, k = np.nonzero(~np.eye(m, dtype=bool))
+    j, k = np.nonzero(~np.eye(m, dtype=bool) if diagnostics else np.zeros((m, m), dtype=bool))
     gj, gk = np.triu_indices(m)
     pj, pk = np.triu_indices(m, 1)
     ma, mb, mwp, mwq, mlam, _, msigns = _module_rows(m)
@@ -160,7 +161,8 @@ def _closure_rows(m: int) -> _ClosureRows:
         signs=_read_only(np.append(msigns, -np.ones(2 * m)))[0])
 
 
-def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValidation:
+def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL, *,
+                     diagnostics: bool = True) -> ClosureValidation:
     """Check every invariant of the closure datum and report per-check results.
 
     Hard checks cover exactly what the index formula consumes: the module's
@@ -172,7 +174,9 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     a warning: it is sufficient for the zeroth-order localization condition
     but the transverse-signature example violates it and still localizes, as
     does any perturbation whose anticommutator with the operator is merely
-    bounded.  Equivariance defects are likewise warnings.
+    bounded.  Equivariance defects are likewise warnings.  With
+    diagnostics=False neither warning is computed, and the hard checks are
+    unchanged: this is the index path's validation.
 
     The module and Z_j checks are one index plan (_closure_rows), read by one
     assembly.  When the c_j, the grading and the Z_j all have at most one
@@ -200,7 +204,7 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
             add_problems("perturbation_shapes", [f"expected {m} matrices of shape {(dim, dim)}"])
         return ClosureValidation(d.name, tuple(checks), np.zeros((m, m)))
 
-    plan = _closure_rows(m)
+    plan = _closure_rows(m, diagnostics)
     forms = [a if isinstance(a, _Monomial) else _monomial(a) for a in (mod.ops, d.z)]
     z, l = slice(m + 1, 2 * m + 1), slice(2 * m + 1, None)
     if any(f is None for f in forms):
@@ -224,8 +228,9 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
     add("perturbation_hermitian", "hard", herm, tol * scale)
     add("perturbation_odd", "hard", max(viol[odd]), tol * scale)
     add("clifford_form_diagonal_anticommutation", "hard", max(viol[diag_anti]), tol * scale)
-    add("symbol_anticommutation_all_pairs", "warning", max(viol[off], default=0.0), tol * scale,
-        "zeroth-order condition; first-order anticommutators still localize")
+    if diagnostics:
+        add("symbol_anticommutation_all_pairs", "warning", max(viol[off], default=0.0),
+            tol * scale, "zeroth-order condition; first-order anticommutators still localize")
 
     gram = np.zeros((m, m))
     gram[plan.gram] = gram[plan.gram[::-1]] = scalars[gram_rows]
@@ -252,8 +257,9 @@ def validate_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureValida
         eps = mod.grading if acts else None  # a monomial grading is made dense only here
         grading_comm = max((float(np.linalg.norm(a @ eps - eps @ a)) for a in acts), default=0.0)
         add("holonomy_commutes_with_grading", "hard", grading_comm, tol * scale)
-        add("equivariance", "warning", check_equivariance(d.holonomy, mod, d.z), tol * scale,
-            "diagnostic only; flagged data still computes")
+        if diagnostics:
+            add("equivariance", "warning", check_equivariance(d.holonomy, mod, d.z),
+                tol * scale, "diagnostic only; flagged data still computes")
 
     if spd:
         # For Hermitian Z_j, (sum sigma_j Z_j)^2 = sum_jk sigma_j sigma_k (Z_j Z_k + Z_k Z_j)/2
@@ -350,8 +356,9 @@ class ClosureAnalysis:
 def analyze_closure(d: ClosureDatum, tol: float = DEFAULT_TOL) -> ClosureAnalysis:
     """Validate one closure and jointly diagonalise its graded L_j, once; raises
     ClosureValidationError when a hard check fails, or DegenerateEigenvalueError
-    for |eigenvalue| <= SIGN_TOL."""
-    report = validate_closure(d, tol)
+    for |eigenvalue| <= SIGN_TOL.  Only the hard checks run: the index never
+    reads the two diagnostic warnings, which validate_closure reports."""
+    report = validate_closure(d, tol, diagnostics=False)
     if not report.passed:
         raise ClosureValidationError(
             "closure data failed validation:\n" + report.summary())

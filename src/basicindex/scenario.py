@@ -3,18 +3,21 @@
 Scenarios are JSON documents; complex entries are two-element arrays
 [re, im], matrices are row-major arrays of row arrays.  Schema errors name
 the offending key path; NaN and +/-Infinity, which Python's json accepts,
-are schema errors.  Loading is side-effect free.  Exterior modules and
-hat_linear perturbations stay in monomial form (dense when read), and
-derive-from-exterior holonomy actions are built as matrices.
+are schema errors, and so is a boolean wherever a number is due.  Loading
+is side-effect free.  Exterior modules and hat_linear perturbations stay in
+monomial form (dense when read), and derive-from-exterior holonomy actions
+are built as matrices.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from importlib import resources
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +29,9 @@ from .holonomy import (
 )
 from .linalg import _Monomial
 from .local_index import ClosureDatum, ScenarioModel
-from .localization import CircleModel, FourierMatrixFunction
+
+if TYPE_CHECKING:  # the circle lab is imported only to parse a circle_model section
+    from .localization import CircleModel, FourierMatrixFunction
 
 Array = np.ndarray
 
@@ -64,39 +69,44 @@ def _finite(val: int | float, path: str) -> float:
     return x
 
 
+_NUMBER_TYPES = {int, float}  # the number types json.loads returns; true/false are not numbers
+
+
 def _complex_entry(val, path: str) -> complex:
-    if isinstance(val, (int, float)):
+    if type(val) in _NUMBER_TYPES:
         return complex(_finite(val, path))
-    if isinstance(val, list) and len(val) == 2 and all(isinstance(x, (int, float)) for x in val):
+    if type(val) is list and len(val) == 2 and all(type(x) in _NUMBER_TYPES for x in val):
         return complex(_finite(val[0], f"{path}[0]"), _finite(val[1], f"{path}[1]"))
     raise ScenarioFormatError(path, "expected a number or a two-element [re, im] array")
-
-
-_NUMBER_TYPES = {int, float, bool}  # the number types json.loads returns
 
 
 def _bulk_complex_matrix(rows: list) -> Array | None:
     """The matrix of the equal-length rows in one pass, or None to parse entry by entry.
 
-    One type scan admits only numbers and two-number [re, im] pairs; numpy
-    then builds the real and imaginary parts in one call, and finiteness is
-    checked at once.  The result is bitwise the per-entry result.  Every
-    entry that _complex_entry would reject (an unknown type, a bad pair, a
-    non-finite value, an integer beyond the float range) makes this return
-    None, so schema errors keep their exact message and key path.
+    Type scans admit only numbers and two-number [re, im] pairs, a number x
+    standing for the pair (x, 0); one np.fromiter then fills the interleaved
+    real and imaginary parts, and finiteness is checked at once.  The result
+    is bitwise the per-entry result.  Every entry that _complex_entry would
+    reject (an unknown type, a boolean, a bad pair, a non-finite value, an
+    integer beyond the float range) makes this return None, so schema errors
+    keep their exact message and key path.
     """
-    entries = [x for row in rows for x in row]
+    entries = list(chain.from_iterable(rows))
     kinds = set(map(type, entries))
-    pairs = [x for x in entries if type(x) is list]
-    if (not kinds or not kinds <= _NUMBER_TYPES | {list} or not set(map(len, pairs)) <= {2}
-            or not set(map(type, chain.from_iterable(pairs))) <= _NUMBER_TYPES):
+    if not kinds or not kinds <= _NUMBER_TYPES | {list}:
+        return None
+    if kinds != {list}:
+        entries = [x if type(x) is list else (x, 0) for x in entries]
+    if set(map(len, entries)) != {2}:
+        return None
+    stream = list(chain.from_iterable(entries))
+    if not set(map(type, stream)) <= _NUMBER_TYPES:
         return None
     try:
-        parts = np.array([[x if type(x) is list else (x, 0) for x in row] for row in rows],
-                         dtype=float)
+        parts = np.fromiter(stream, dtype=float, count=len(stream))
     except OverflowError:  # an integer literal beyond the float range
         return None
-    mat = parts.view(complex)[..., 0]
+    mat = parts.view(complex).reshape(len(rows), -1)
     return mat if np.isfinite(mat).all() else None
 
 
@@ -259,6 +269,8 @@ def _parse_holonomy(obj: dict, module: CliffordModule, m: int, path: str) -> Hol
 
 
 def _parse_fourier(obj: dict, dim: int, path: str) -> FourierMatrixFunction:
+    from .localization import FourierMatrixFunction
+
     terms = obj.get("terms", [])
     if not isinstance(terms, list):
         raise ScenarioFormatError(f"{path}.terms", "expected an array of term objects")
@@ -283,6 +295,8 @@ def _parse_fourier(obj: dict, dim: int, path: str) -> FourierMatrixFunction:
 
 
 def _parse_circle_model(obj: dict, path: str) -> CircleModel:
+    from .localization import CircleModel
+
     fiber = _want(obj, "fiber_dim", int, path)
     symbol = _complex_matrix(_want(obj, "symbol", list, path), f"{path}.symbol", (fiber, fiber))
     grading = _complex_matrix(_want(obj, "grading", list, path), f"{path}.grading",
@@ -331,6 +345,32 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> ScenarioModel:
                          expected_index=expected, circle_model=circle)
 
 
+def _decode(text: str, where: str, origin: str) -> ScenarioModel:
+    """Parse scenario text with the cyclic garbage collector paused.
+
+    A parsed JSON tree holds no reference cycles, so the pause delays no
+    collection; without it the collector walks the growing tree again and
+    again while a large file decodes.  The caller's collector state is
+    restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ScenarioFormatError(
+                where, f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        except RecursionError:
+            raise ScenarioFormatError(where, "parse error: arrays or objects nested "
+                                             "too deeply") from None
+        return scenario_from_dict(doc, origin=origin)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_scenario(path: str | Path) -> ScenarioModel:
     """Load and materialize a scenario file; loading has no side effects."""
     path = Path(path)
@@ -340,16 +380,7 @@ def load_scenario(path: str | Path) -> ScenarioModel:
         raise ScenarioFormatError(str(path), f"cannot read file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioFormatError(str(path), f"cannot decode file as text: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(
-            str(path), f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError:
-        raise ScenarioFormatError(str(path), "parse error: arrays or objects nested "
-                                             "too deeply") from None
-    return scenario_from_dict(doc, origin=path.name)
+    return _decode(text, str(path), path.name)
 
 
 def _encode_complex(x: complex) -> object:
@@ -444,4 +475,5 @@ def load_corpus_scenario(name: str) -> ScenarioModel:
         text = pkg.read_text()
     except FileNotFoundError as exc:
         raise ScenarioFormatError(name, f"no bundled scenario named {name!r}") from exc
-    return scenario_from_dict(json.loads(text), origin=f"corpus/{name}.json")
+    origin = f"corpus/{name}.json"
+    return _decode(text, origin, origin)

@@ -165,15 +165,73 @@ def test_localize_counts_each_grading_block(tmp_path, harmonic):
     assert [(r["kernel_plus"], r["kernel_minus"]) for r in rows] == [(harmonic, harmonic)] * 3
 
 
+# run one command in a fresh interpreter, then print the circle lab and scipy modules it loaded
+FOOTPRINT_PROBE = """
+import contextlib, io, sys
+from basicindex.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules
+                   if m == "basicindex.localization" or m.split(".")[0] == "scipy"))
+"""
+
+
 def test_cli_import_loads_no_scipy():
     # every command pays the import; scipy loads only where the oracle or the circle
-    # lab solves, inside the function that needs it
+    # lab solves, inside the function that needs it.  The circle lab loads only with
+    # localize or a scenario that has a circle model.
     src = str(Path(basicindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, basicindex.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    for argv, loaded in [(["index", "sphere_suspension"], []),
+                         (["validate", "cp2_signature_a"], []),
+                         (["model-check", "cp2_signature_a"], []),
+                         (["index", "carriere"], ["basicindex.localization"])]:
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"0 {loaded}", argv
+
+
+# what `from basicindex import *` bound before the circle lab loaded lazily
+EXPORTS = """CircleModel CircleModelError CliffordModule ClosureDatum ClosureValidationError
+ConvergenceReport DegenerateEigenvalueError DiscretizationError FourierMatrixFunction
+HolonomyGroup JointEigenstructure LinalgError LocalIndexDetail ModelSpectrum NotInvariantError
+RouteConsistencyError ScenarioFormatError ScenarioModel Subspace analytic_spectrum
+carriere_preset check_equivariance cliff clifford_c clifford_hat compose_levels
+compose_oracle_levels contract_op convergence_report corpus_names cosine_preset
+derived_exterior_action explicit_module exterior_module exterior_rep global_index hermitian_eig
+holonomy invariant_dim_in invariant_kernel joint_eig linalg load_corpus_scenario load_scenario
+local_index localization model_cross_check model_operator model_spectrum_at_zeros nullspace
+odd_invertible_perturbation oscillator_1d_oracle oscillator_levels parity_grading scenario
+scenario_from_dict scenario_to_dict validate_closure wedge_op""".split()
+
+
+def test_every_export_resolves_lazily():
+    # in a fresh interpreter: attribute access loads the circle lab on demand, and a
+    # star import binds every name to the same object
+    probe = f"""
+import basicindex, sys
+names = {EXPORTS!r}
+assert "basicindex.localization" not in sys.modules, "imported eagerly"
+assert all(getattr(basicindex, n) is not None for n in names)
+star = {{}}
+exec("from basicindex import *", star)
+assert sorted(n for n in star if n != "__builtins__") == sorted(names), sorted(star)
+assert all(star[n] is getattr(basicindex, n) for n in names)
+print("ok")
+"""
+    src = str(Path(basicindex.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "ok"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        basicindex.no_such_name  # noqa: B018
 
 
 @pytest.mark.parametrize("extra", [[], ["--jmax", "12"]])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,6 +26,7 @@ from basicindex import (
     wedge_op,
 )
 from basicindex.linalg import _monomial
+from basicindex.local_index import ClosureValidation, analyze_closure
 from closure_builders import (
     carriere_closure,
     conjugated,
@@ -431,3 +433,50 @@ def test_odd_perturbation_q5():
 def test_odd_perturbation_rejects_even_q():
     with pytest.raises(ValueError):
         odd_invertible_perturbation(exterior_module(2, "parity"))
+
+
+DIAGNOSTICS = {"symbol_anticommutation_all_pairs", "equivariance"}
+
+
+def hard_checks(report):
+    return tuple(c for c in report.checks if c.name not in DIAGNOSTICS)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_index_path_runs_the_hard_checks_of_validation(name):
+    # analyze_closure validates without the two diagnostics; every hard check is the same
+    for d in load_corpus_scenario(name).closures:
+        full = validate_closure(d)
+        assert DIAGNOSTICS <= {c.name for c in full.checks}
+        assert validate_closure(d, diagnostics=False).checks == hard_checks(full)
+        assert analyze_closure(d).datum is d
+
+
+def corrupted_cp2(kind):
+    d = load_corpus_scenario("cp2_signature_a").closures[0]
+    z, hol = [np.array(zj) for zj in d.z], d.holonomy
+    if kind == "non-Hermitian Z":
+        z[0][0, 1] += 0.3
+    elif kind == "non-scalar gram":  # an even, diagonal rescaling keeps Z_1 Hermitian and odd
+        scale = np.diag(1.0 + 0.1 * np.arange(d.module.dim) / d.module.dim)
+        z[0] = scale @ z[0] @ scale
+    else:  # c_1 is skew-Hermitian and odd, so it acts but does not commute with the grading
+        (x, _), *rest = hol.infinitesimal
+        hol = HolonomyGroup(hol.m, ((x, np.array(d.module.c[0])), *rest), hol.components)
+    return dataclasses.replace(d, z=tuple(z), holonomy=hol)
+
+
+@pytest.mark.parametrize("kind, failing", [
+    ("non-Hermitian Z", "perturbation_hermitian"),
+    ("non-scalar gram", "gram_scalar"),
+    ("holonomy off the grading", "holonomy_commutes_with_grading")])
+def test_index_path_fails_as_validation_less_its_diagnostics(kind, failing):
+    d = corrupted_cp2(kind)
+    full = validate_closure(d)
+    assert failing in {c.name for c in full.failures()}
+    assert DIAGNOSTICS <= {c.name for c in full.checks}
+    hard = ClosureValidation(full.closure, hard_checks(full), full.gram)
+    with pytest.raises(ClosureValidationError) as err:
+        analyze_closure(d)
+    assert str(err.value) == "closure data failed validation:\n" + hard.summary()
+    assert len(full.summary().splitlines()) == len(hard.summary().splitlines()) + 2

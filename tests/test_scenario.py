@@ -1,3 +1,5 @@
+import functools
+import gc
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ from basicindex import (
     corpus_names,
     load_corpus_scenario,
     load_scenario,
+    scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -163,6 +166,7 @@ def doc_matrices(doc):
 @pytest.mark.parametrize("where", ["pairs", "numbers"])
 @pytest.mark.parametrize("token", [
     '"1.5"', "null", "[[1.0, 0.0], [0.0, 1.0]]", "[1.0]", "[1.0, 0.0, 2.0]", '[1.0, "0.0"]',
+    "true", "false", "[true, 0.0]", "[1.0, false]",
     "NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400")])
 def test_bulk_parse_rejects_as_per_entry_parse(token, where):
     # rotated Z mix numbers and [re, im] pairs; the sphere's Z hold numbers only
@@ -183,10 +187,10 @@ def test_bulk_parse_rejects_as_per_entry_parse(token, where):
 def test_bulk_parse_matches_per_entry_parse_bitwise():
     docs = [rotated_doc(m, seed) for m, seed in ((3, 1), (4, 2))]
     odd = docs[0]["closures"][0]["perturbation"]["Z"][0]
-    odd[0][0], odd[0][1], odd[1][0] = True, 2**53 + 1, [False, -(2**63) - 3]
+    odd[0][0], odd[0][1], odd[1][0] = 7, 2**53 + 1, [0, -(2**63) - 3]
     odd[1][1], odd[1][2] = 2**70 + 12345, [2**60 + 1, -0.0]
     docs += [scenario_to_dict(load_corpus_scenario(name)) for name in corpus_names()]
-    matrices = [("numbers", [[True, 2**54 + 1, -0.0], [3, -(2**63) - 3, False]])]
+    matrices = [("numbers", [[1, 2**54 + 1, -0.0], [3, -(2**63) - 3, 0]])]
     for doc in docs:
         matrices += doc_matrices(doc)
     for path, rows in matrices:
@@ -263,3 +267,34 @@ def test_loading_is_side_effect_free(tmp_path):
     before = path.read_text()
     load_scenario(path)
     assert path.read_text() == before
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["success", "parse error", "schema error"])
+@pytest.mark.parametrize("loader", ["file", "corpus"])
+def test_loaders_restore_the_callers_gc_state(tmp_path, monkeypatch, loader, case, enabled):
+    # both loaders pause the cyclic collector while they decode; whatever the outcome,
+    # the caller gets back the state it had
+    doc = minimal_doc()
+    if case == "schema error":
+        doc["closures"][0]["module"]["grading"] = "mystery"
+    text = json.dumps(doc)[:-1] if case == "parse error" else json.dumps(doc)
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "tiny.json").write_text(text)
+    if loader == "corpus":  # the bundled corpus read from tmp_path
+        monkeypatch.setattr(scenario.resources, "files", lambda package: tmp_path)
+        load = functools.partial(load_corpus_scenario, "tiny")
+    else:
+        load = functools.partial(load_scenario, tmp_path / "corpus" / "tiny.json")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if case == "success":
+            assert load().name == "tiny"
+        else:
+            with pytest.raises(ScenarioFormatError, match="parse error" if case == "parse error"
+                               else "unknown grading kind"):
+                load()
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
