@@ -49,6 +49,7 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
+MAX_COUNT = 1024  # spectrum --count: memory grows with count times the module dimension
 
 COMPUTE_ERRORS = (ClosureValidationError, LinalgError, DegenerateEigenvalueError,
                   NotInvariantError, RouteConsistencyError)
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spectrum", cmd_spectrum, "analytic model spectrum at one closure")
     p.add_argument("scenario")
     p.add_argument("--closure", required=True)
-    p.add_argument("--count", type=_bounded_int(1), default=12)
+    p.add_argument("--count", type=_bounded_int(1, MAX_COUNT), default=12)
     p.add_argument("--numerical", action="store_true",
                    help="also compare against the 1D finite-difference oracle")
     p = add("model-check", cmd_model_check, "model kernel dims vs the index formula")

@@ -101,11 +101,11 @@ def invariant_dim_in(group: HolonomyGroup, w: Subspace, tol: float = 1e-9) -> in
     if group.trivial or w.dim == 0:
         return w.dim
     b = w.basis
-    outside = np.eye(w.ambient_dim, dtype=complex) - w.projector()
     actions = [("components", i, rho) for i, (_, rho) in enumerate(group.components)]
     actions += [("infinitesimal", i, dx) for i, (_, dx) in enumerate(group.infinitesimal)]
     for kind, i, a in actions:
-        leak = np.linalg.norm(outside @ (a @ b))
+        act = a @ b
+        leak = np.linalg.norm(act - b @ (b.conj().T @ act))
         if leak > max(tol, w.tol) * max(1.0, np.linalg.norm(a)):
             raise NotInvariantError(
                 f"subspace not H-invariant: {kind}[{i}] leaks {leak:.3e} outside the subspace")

@@ -2,9 +2,9 @@
 
 Thin, contract-enforcing layer over LAPACK: Hermitian eigendecomposition,
 the joint eigenbasis of commuting Hermitian operators that square to scalars
-(split by sign, one operator at a time), orthonormal subspaces, and null
-spaces.  All functions are pure; identical inputs give identical outputs
-within one build (eigenvector phases are normalized deterministically).
+(one eigendecomposition, whose eigenvalues order the sign patterns),
+orthonormal subspaces, and null spaces.  All functions are pure; identical
+inputs give identical outputs within one build (eigenvector phases are normalized deterministically).
 
 The private product kernels below evaluate an index plan of rows
 wp A_a A_b + wq A_b A_a + lam I, and of A_k + sign A_k^H, by Frobenius norm:
@@ -244,9 +244,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> Array:
-        return self.basis @ self.basis.conj().T
-
     @staticmethod
     def full(ambient_dim: int, tol: float = 1e-9) -> "Subspace":
         return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
@@ -270,16 +267,16 @@ def joint_eig(ops: list[Array] | _Monomial, tol: float = 1e-9) -> JointEigenstru
     """Joint eigenbasis of commuting Hermitian matrices that square to scalars.
 
     Under that contract, L_j^2 = g_jj I, every eigenvalue of L_j is
-    +-sqrt(g_jj), so a joint eigenspace is a sign pattern and is found by
-    splitting at 0: each operator in turn is restricted to every current block
-    and diagonalized once, and the block splits into its negative and its
-    positive eigenvectors, in that order.  The contract itself is gated by
-    validate_closure; here only the reconstruction of every operator is
-    verified, which also rejects a non-commuting family.  When every operator
-    is diagonal (no nonzero off the diagonal), the split is one stable sort on
-    the sign bits; ops may then be a monomial stack.  Columns are ordered by
-    sign pattern, negative first and operator 0 most significant; clusters
-    are the runs of one pattern.
+    +-sqrt(g_jj), so a joint eigenspace is a sign pattern.  Dense operators
+    take one eigendecomposition of sum_j 2^(k-1-j) L_j / sqrt(g_jj): on a
+    pattern it is the signs read as binary digits, operator 0 most
+    significant, so patterns sit at least 2 apart and ascend in column order.
+    Only the reconstruction of every operator is verified (validate_closure
+    gates the contract), which also rejects a non-commuting family.  When
+    every operator is diagonal (no nonzero off the diagonal), the split is one
+    stable sort on the sign bits; ops may then be a monomial stack.  Columns
+    are ordered by sign pattern, negative first and operator 0 most
+    significant; clusters are the runs of one pattern.
     """
     if not len(ops):
         raise LinalgError("at least one operator is required")
@@ -303,29 +300,29 @@ def joint_eig(ops: list[Array] | _Monomial, tol: float = 1e-9) -> JointEigenstru
 
 
 def _sign_split(mats: list[Array], tol: float) -> tuple[Array, Array]:
-    """joint_eig's (basis, eigentuples) of dense operators, reconstruction checked."""
-    dim = mats[0].shape[0]
-    basis = np.eye(dim, dtype=complex)
-    tuples = np.zeros((dim, len(mats)))
-    blocks = [np.arange(dim)]
-    for j, a in enumerate(mats):
-        split = []
-        for cols in blocks:
-            block = basis[:, cols]
-            sub = block.conj().T @ a @ block
-            if len(cols) > 1:
-                w, v = hermitian_eig(sub, tol)
-                basis[:, cols] = block @ v
-            else:  # one column is an eigenvector already
-                w = sub[0].real
-            tuples[cols, j] = w
-            neg = int(np.searchsorted(w, 0.0))  # w ascends
-            split += [part for part in (cols[:neg], cols[neg:]) if len(part)]
-        blocks = split
-    basis = _fix_phases(basis)
-    for j, a in enumerate(mats):
-        resid = _norm(a @ basis - basis * tuples[:, j])
-        if resid > 1e-9 * max(1.0, _norm(a)) * max(1.0, dim):
+    """joint_eig's (basis, eigentuples) of dense operators, from one eigendecomposition.
+
+    sqrt(g_jj) is read as ||L_j||_F / sqrt(dim); a zero operator gets weight 0
+    and reads as positive.  Patterns that first differ at operator j sit
+    2 (2^(k-1-j) - sum_{i>j} 2^(k-1-i)) = 2 apart.  eigh moves an eigenvalue
+    by about eps (2^k - 1), and a contract defect delta per involution by at
+    most (2^k - 1) delta; while both stay below 1, half the gap, the ascending
+    order is the pattern order.  Eigentuples are Rayleigh quotients, and the
+    reconstruction of every operator is checked.
+    """
+    dim, k = mats[0].shape[0], len(mats)
+    norms = [_norm(a) for a in mats]
+    combo = np.zeros((dim, dim), dtype=complex)
+    for j, (a, norm) in enumerate(zip(mats, norms)):
+        if norm:
+            combo += (2.0 ** (k - 1 - j) * np.sqrt(dim) / norm) * a
+    _, basis = hermitian_eig(combo, tol)
+    tuples = np.zeros((dim, k))
+    for j, (a, norm) in enumerate(zip(mats, norms)):
+        image = a @ basis
+        tuples[:, j] = np.einsum("ij,ij->j", basis.conj(), image).real
+        resid = _norm(image - basis * tuples[:, j])
+        if resid > 1e-9 * max(1.0, norm) * max(1.0, dim):
             raise LinalgError(f"joint diagonalization failed to reconstruct operator {j} "
                               f"(residual {resid:.3e})")
     return basis, tuples

@@ -178,23 +178,23 @@ def _kernel_dim_for_sign(a: ClosureAnalysis, side: int) -> int:
     generator is restricted once to those columns of the joint eigenbasis,
     which are formed only for nontrivial holonomy.
     """
-    d, struct, group = a.datum, a.sides[side][1], a.datum.holonomy
+    struct, group = a.sides[side][1], a.datum.holonomy
     cols = np.flatnonzero(np.all(struct.eigentuples < 0.0, axis=1))
     if group.trivial or not len(cols):
         return len(cols)
     n_basis = a.vectors(side, cols)
     lam = np.diag(struct.eigentuples[cols[0]])
-    outside = np.eye(d.module.dim, dtype=complex) - n_basis @ n_basis.conj().T
     eye = np.eye(len(cols))
     rows: list[Array] = []
 
     def restricted(kind: str, gi: int, op: Array) -> Array:
         act = op @ n_basis
-        leak = float(np.linalg.norm(outside @ act))
+        r = n_basis.conj().T @ act
+        leak = float(np.linalg.norm(act - n_basis @ r))
         if leak > 1e-7 * max(1.0, np.linalg.norm(op)):
             raise RouteConsistencyError(
                 f"{kind} {gi} does not preserve the model kernel (leak {leak:.3e})")
-        return n_basis.conj().T @ act
+        return r
 
     for gi, (dg, rho) in enumerate(group.components):
         r = restricted("component", gi, rho)

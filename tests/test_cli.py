@@ -334,6 +334,7 @@ def test_non_finite_entry_is_input_error(tmp_path, capsys, token):
     (["localize", "carriere", "--modes", "4096"], None),  # no room to double under MAX_MODES
     (["spectrum", "carriere", "--closure", "t_quarter", "--count", "0"], None),
     (["spectrum", "carriere", "--closure", "t_quarter", "--count", "-3"], None),
+    (["spectrum", "carriere", "--closure", "t_quarter", "--count", "1025"], None),
     (["--tol", "nan", "validate", "carriere"], None),
     (["--tol", "-1", "validate", "carriere"], None),
     (["validate", "carriere"], "nan"),

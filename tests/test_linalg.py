@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basicindex import (
     LinalgError,
@@ -172,11 +174,33 @@ def test_intersection_matches_rank_oracle():
             assert got == n - int(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-9))
 
 
+@settings(max_examples=40)
+@given(k=st.integers(1, 8), dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+def test_dense_joint_eig_matches_the_sort_of_a_rotated_copy(k, dim, seed):
+    # a diagonal involution family takes the sort; a unitary conjugate of it the
+    # one dense eigendecomposition, which must give the same sign rows, clusters
+    # and (rotated) eigenspaces, whatever the scales and the patterns present
+    rng = np.random.default_rng(seed)
+    patterns = rng.choice([-1.0, 1.0], size=(int(rng.integers(1, dim + 1)), k))
+    signs = patterns[rng.integers(0, len(patterns), size=dim)].T
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+    family = [np.diag(t * s).astype(complex) for t, s in zip(scales, signs)]
+    u = random_unitary(rng, dim)
+    sort, dense = joint_eig(family), joint_eig([u @ a @ u.conj().T for a in family])
+    assert np.array_equal(dense.eigentuples < 0.0, sort.eigentuples < 0.0)
+    assert dense.clusters == sort.clusters
+    assert np.allclose(np.abs(dense.eigentuples), scales, rtol=1e-12, atol=0.0)
+    for lo, hi in sort.clusters:
+        a, b = u @ sort.basis[:, lo:hi], dense.basis[:, lo:hi]
+        assert np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2) < 1e-9
+
+
 def test_joint_eig_rejects_non_commuting():
-    # two involutions: the split by sx leaves sz with no eigenvector to reconstruct
+    # two involutions: no basis diagonalizes both, and the one eigendecomposition
+    # of 2 sx + sz already fails to reconstruct operator 0
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
-    with pytest.raises(LinalgError, match="failed to reconstruct operator 1"):
+    with pytest.raises(LinalgError, match="failed to reconstruct operator 0"):
         joint_eig([sx, sz])
 
 

@@ -126,7 +126,8 @@ def test_l_ops_of_monomial_data_stay_monomial():
 
 
 def test_diagonal_joint_eig_matches_the_sign_split():
-    # the sort on sign bits gives the dense split's eigentuples and eigenspaces
+    # the sort on sign bits gives the eigentuples and eigenspaces of the one dense
+    # eigendecomposition, which on diagonal input reads each tuple exactly
     signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(3, 12))
     family = [np.diag(t * s).astype(complex) for t, s in zip([0.3, 1.0, 2.5], signs)]
     sort = joint_eig(family)
