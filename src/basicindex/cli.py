@@ -20,8 +20,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .holonomy import NotInvariantError
 from .linalg import DegenerateEigenvalueError, LinalgError
 from .local_index import (
@@ -35,9 +33,8 @@ from .local_index import (
 from .model_operator import (
     RouteConsistencyError,
     analytic_spectrum,
-    compose_levels,
-    compose_oracle_levels,
     model_cross_check,
+    oracle_deviations,
 )
 from .scenario import (
     ScenarioFormatError,
@@ -49,7 +46,7 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
-MAX_COUNT = 1024  # spectrum --count: memory grows with count times the module dimension
+MAX_COUNT = 1024  # spectrum --count: the level streams' heaps grow with count times m
 
 COMPUTE_ERRORS = (ClosureValidationError, LinalgError, DegenerateEigenvalueError,
                   NotInvariantError, RouteConsistencyError)
@@ -207,19 +204,15 @@ def cmd_spectrum(args) -> int:
               f"kernel dims {spec.kernel_dim_plus}, {spec.kernel_dim_minus})")
         print("  levels: " + ", ".join(fmt(x) for x in spec.eigenvalues))
     if args.numerical:
-        worst = 0.0
-        rows = []
-        for blk in spec.blocks:
-            analytic = compose_levels(np.array(blk.eigentuple), 5)
-            numeric = compose_oracle_levels(np.array(blk.eigentuple), 5)
-            dev = max(abs(a - b) for a, b in zip(analytic, numeric))
-            worst = max(worst, dev)
-            rows.append({"eigentuple": list(blk.eigentuple), "deviation": dev})
-            if args.format == "text":
-                print(f"  tuple ({', '.join(fmt(x) for x in blk.eigentuple)}): "
-                      f"oracle deviation {dev:.3e}")
+        devs = oracle_deviations(spec.blocks, 5)
+        worst = max([0.0, *devs])
+        rows = [{"eigentuple": list(b.eigentuple), "deviation": dev}
+                for b, dev in zip(spec.blocks, devs)]
         payload["oracle"] = {"rows": rows, "max_deviation": worst}
         if args.format == "text":
+            for row in rows:
+                print(f"  tuple ({', '.join(fmt(x) for x in row['eigentuple'])}): "
+                      f"oracle deviation {row['deviation']:.3e}")
             print(f"  max oracle deviation: {worst:.3e}")
     _emit(payload, args)
     return EXIT_OK
@@ -313,22 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("scenario")
         return p
 
-    p = add("validate", cmd_validate, "run every closure's validation checks")
-    p.add_argument("scenario")
-    p = add("index", cmd_index, "per-closure local indices and the global sum")
-    p.add_argument("scenario")
+    add("validate", cmd_validate, "run every closure's validation checks")
+    add("index", cmd_index, "per-closure local indices and the global sum")
     p = add("spectrum", cmd_spectrum, "analytic model spectrum at one closure")
-    p.add_argument("scenario")
     p.add_argument("--closure", required=True)
     p.add_argument("--count", type=_bounded_int(1, MAX_COUNT), default=12)
     p.add_argument("--numerical", action="store_true",
                    help="also compare against the 1D finite-difference oracle")
-    p = add("model-check", cmd_model_check, "model kernel dims vs the index formula")
-    p.add_argument("scenario")
+    add("model-check", cmd_model_check, "model kernel dims vs the index formula")
     p = add("localize", cmd_localize, "spectral localization sweep of the circle model")
-    p.add_argument("scenario")
     p.add_argument("--s", type=_s_sweep, default="10,100,1000",
                    help="comma-separated list of at least 3 increasing positive s values")
     p.add_argument("--modes", type=_modes, default=128)

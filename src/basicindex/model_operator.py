@@ -2,8 +2,9 @@
 
 In the joint eigenbasis of the L_j the model operator
 sum_j (-d_j^2 + L_j + x_j^2 L_j^2) separates into scalar 1D oscillators, so
-its spectrum is composed analytically per eigentuple and every level can be
-checked against an independent finite-difference oracle.  The graded,
+its levels are sums of 1D levels, streamed in ascending order per eigentuple
+and merged up to the count asked for, and every level can be checked
+against an independent finite-difference oracle.  The graded,
 holonomy-invariant kernel dimension is computed on Gaussian-section pairs
 and must agree exactly with the intersection route of the index engine: the
 two constructions are the same number reached by different arguments, and a
@@ -20,7 +21,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, islice, repeat
+from operator import add, getitem
 
 import numpy as np
 
@@ -73,38 +78,46 @@ def oscillator_1d_oracle(lam: float, count: int, n_grid: int = 2000) -> Array:
     return (4.0 * fine - coarse) / 3.0
 
 
-def _k_smallest_sums(a: list[float], b: list[float], k: int) -> list[float]:
-    """k smallest values of a_i + b_j for sorted ascending a, b."""
-    if not a or not b:
-        return []
-    heap = [(a[0] + b[0], 0, 0)]
-    seen = {(0, 0)}
-    out: list[float] = []
-    while heap and len(out) < k:
-        val, i, j = heapq.heappop(heap)
-        out.append(val)
-        for ni, nj in ((i + 1, j), (i, j + 1)):
-            if ni < len(a) and nj < len(b) and (ni, nj) not in seen:
-                seen.add((ni, nj))
-                heapq.heappush(heap, (a[ni] + b[nj], ni, nj))
-    return out
+def _ascending_sums(axes: list[list[float]]) -> Iterator[float]:
+    """Ascending sums taking one entry from each ascending list of axes.
+
+    A frontier heap holds the index tuples whose parent (one step back on the
+    last advanced axis) was yielded, so each tuple is pushed once and each
+    value pushes at most len(axes).  Each sum is added left to right in axis
+    order from 0.0 with plain float +, so a level keeps its bits.
+    """
+    def total(idx: tuple[int, ...]) -> float:
+        return reduce(add, map(getitem, axes, idx), 0.0)
+
+    start = (0,) * len(axes)
+    heap = [(total(start), start, 0)] if all(axes) else []
+    while heap:
+        val, idx, low = heapq.heappop(heap)
+        yield val
+        for j in range(low, len(axes)):
+            if idx[j] + 1 < len(axes[j]):
+                nxt = (*idx[:j], idx[j] + 1, *idx[j + 1:])
+                heapq.heappush(heap, (total(nxt), nxt, j))
+
+
+def _streams(tuples, solve, count: int) -> list[Iterator[float]]:
+    """One ascending level stream per eigentuple, summing the count levels
+    solve(lam, count) of each axis; solve runs once per distinct eigenvalue."""
+    levels = {lam: list(solve(lam, count)) for lam in {lam for tup in tuples for lam in tup}}
+    return [_ascending_sums([levels[lam] for lam in tup]) for tup in tuples]
 
 
 def compose_levels(eigentuple: Array, count: int) -> list[float]:
     """count smallest values of sum_j (|lam_j|(2 n_j + 1) + lam_j) over n_j >= 0."""
-    levels = [0.0]
-    for lam in np.asarray(eigentuple, dtype=float):
-        levels = _k_smallest_sums(levels, oscillator_levels(float(lam), count), count)
-    return levels
+    (stream,) = _streams([list(map(float, eigentuple))], oscillator_levels, count)
+    return list(islice(stream, count))
 
 
 def compose_oracle_levels(eigentuple: Array, count: int) -> list[float]:
     """Like compose_levels but summing per-axis finite-difference oracle levels;
     the independent numerical counterpart for cross-checking."""
-    levels = [0.0]
-    for lam in np.asarray(eigentuple, dtype=float):
-        levels = _k_smallest_sums(levels, list(oscillator_1d_oracle(float(lam), count)), count)
-    return levels
+    (stream,) = _streams([list(map(float, eigentuple))], oscillator_1d_oracle, count)
+    return list(islice(stream, count))
 
 
 @dataclass(frozen=True)
@@ -142,25 +155,35 @@ def analytic_spectrum(d: ClosureDatum, count: int, tol: float = DEFAULT_TOL) -> 
     """The count smallest model eigenvalues (with multiplicity) plus the
     graded, holonomy-invariant kernel dimensions.
 
-    Each joint eigentuple contributes the level sums of m independent 1D
-    oscillators; a level inherits the eigentuple's multiplicity.  Kernel
-    dimensions come from invariant_kernel (only all-negative eigentuples
-    carry normalizable Gaussian sections, filtered by holonomy invariance).
+    Each joint eigentuple streams the level sums of m independent 1D
+    oscillators in ascending order, each level repeated by the eigentuple's
+    multiplicity; one merge of the streams stops at count, so no block
+    composes more levels than the merge reads.  Kernel dimensions come from
+    invariant_kernel (only all-negative eigentuples carry normalizable
+    Gaussian sections, filtered by holonomy invariance).
     """
     a = analyze_closure(d, tol)
     blocks = _blocks(a)
-    merged: list[float] = []
-    for b in blocks:
-        merged.extend(lv for lv in compose_levels(np.array(b.eigentuple), count)
-                      for _ in range(b.multiplicity))
-    merged.sort()
+    streams = _streams([b.eigentuple for b in blocks], oscillator_levels, count)
+    merged = heapq.merge(*(chain.from_iterable(map(repeat, stream, repeat(b.multiplicity)))
+                           for b, stream in zip(blocks, streams)))
     (kp, km), _ = _checked_kernel_dims(a)
     return ModelSpectrum(
-        eigenvalues=np.array(merged[:count]),
+        eigenvalues=np.array(list(islice(merged, count))),
         kernel_dim_plus=kp,
         kernel_dim_minus=km,
         blocks=blocks,
     )
+
+
+def oracle_deviations(blocks: tuple[EigentupleBlock, ...], count: int) -> list[float]:
+    """Per block, the largest deviation of its count lowest oracle-composed levels
+    from the analytic ones; the oracle is solved once per distinct eigenvalue."""
+    tuples = [b.eigentuple for b in blocks]
+    pairs = zip(_streams(tuples, oscillator_levels, count),
+                _streams(tuples, oscillator_1d_oracle, count))
+    return [max(abs(x - y) for x, y in islice(zip(exact, oracle), count))
+            for exact, oracle in pairs]
 
 
 def _kernel_dim_for_sign(a: ClosureAnalysis, side: int) -> int:

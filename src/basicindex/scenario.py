@@ -251,10 +251,11 @@ def _parse_holonomy(obj: dict, module: CliffordModule, m: int, path: str) -> Hol
                              f"{path}.components[{i}]")) for i, g in enumerate(comp_slices)]
     elif isinstance(action, dict):
         dim = module.dim
+        # a key may be left out only for an empty generator list; present, it is an array
         inf_mats = _want(action, "infinitesimal", list, f"{path}.module_action") \
-            if inf_slices else action.get("infinitesimal", [])
+            if inf_slices or "infinitesimal" in action else []
         comp_mats = _want(action, "components", list, f"{path}.module_action") \
-            if comp_slices else action.get("components", [])
+            if comp_slices or "components" in action else []
         if len(inf_mats) != len(inf_slices) or len(comp_mats) != len(comp_slices):
             raise ScenarioFormatError(f"{path}.module_action",
                                       "module matrices must match the generator lists")
@@ -301,7 +302,8 @@ def _parse_circle_model(obj: dict, path: str) -> CircleModel:
     symbol = _complex_matrix(_want(obj, "symbol", list, path), f"{path}.symbol", (fiber, fiber))
     grading = _complex_matrix(_want(obj, "grading", list, path), f"{path}.grading",
                               (fiber, fiber))
-    drift = _parse_fourier(obj.get("drift", {}), fiber, f"{path}.drift")
+    drift = _parse_fourier(_want(obj, "drift", dict, path) if "drift" in obj else {}, fiber,
+                           f"{path}.drift")
     pert = _parse_fourier(_want(obj, "perturbation", dict, path), fiber,
                           f"{path}.perturbation")
     return CircleModel(fiber_dim=fiber, symbol=symbol, grading=grading,

@@ -29,7 +29,7 @@ from basicindex import (
 )
 from basicindex.cli import main as cli_main
 from basicindex.localization import CircleModel, FourierMatrixFunction
-from basicindex.model_operator import _k_smallest_sums, eigentuple_blocks
+from basicindex.model_operator import _ascending_sums, eigentuple_blocks
 from closure_builders import random_unitary, sphere_closure
 
 
@@ -128,9 +128,8 @@ def test_criterion_5_oscillator_oracle():
         for d in load_corpus_scenario(name).closures:
             for block in eigentuple_blocks(d):
                 analytic = compose_levels(np.array(block.eigentuple), 5)
-                numeric = [0.0]
-                for lam in block.eigentuple:
-                    numeric = _k_smallest_sums(numeric, oracle(lam), 5)
+                axes = [oracle(lam) for lam in block.eigentuple]
+                numeric = list(itertools.islice(_ascending_sums(axes), 5))
                 worst = max(abs(a - b) for a, b in zip(analytic, numeric))
                 assert worst < 1e-5, (name, d.name, block.eigentuple, worst)
 

@@ -176,6 +176,20 @@ print(code, sorted(m for m in sys.modules
 """
 
 
+def test_localize_text_on_a_zero_free_model(tmp_path):
+    # constant Z = 1.5 sigma_x has no zeros: the table reports lambda_1 and its growth in s
+    path = write_scenario(tmp_path, circle_doc(0, [[0.0, 1.5], [1.5, 0.0]]))
+    code, out, err = run_quiet(["localize", path])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0].split() == ["s", "modes", "lambda_1", "lambda_1/s"]
+    assert [ln.split()[0] for ln in lines[1:4]] == ["10", "100", "1000"]
+    assert lines[4].startswith("fitted growth constant c: ")
+    assert float(lines[4].split()[4]) > 0.0
+    assert lines[4].endswith("(lambda_1 >= c s across sweep: True)")
+    assert len(lines) == 5
+
+
 def test_cli_import_loads_no_scipy():
     # every command pays the import; scipy loads only where the oracle or the circle
     # lab solves, inside the function that needs it.  The circle lab loads only with
@@ -522,6 +536,26 @@ def test_holonomy_kind_is_input_error(tmp_path, name, kind, key):
     code, _, err = run_quiet(["index", write_scenario(tmp_path, doc)])
     assert code == 2
     assert err.startswith(f"input error: scenario.json.closures[0].holonomy.{key}: ")
+
+
+@pytest.mark.parametrize("name,path,value,key_path,commands", [
+    ("sphere_suspension", ("closures", 0, "holonomy"),
+     {"infinitesimal": [], "module_action": {"infinitesimal": 5}},
+     "closures[0].holonomy.module_action.infinitesimal", ("index", "validate")),
+    ("sphere_suspension", ("closures", 0, "holonomy"),
+     {"infinitesimal": [], "module_action": {"components": 7}},
+     "closures[0].holonomy.module_action.components", ("index", "validate")),
+    ("carriere", ("circle_model", "drift"), 5, "circle_model.drift", ("index", "localize")),
+])
+def test_non_array_or_object_is_input_error(tmp_path, name, path, value, key_path, commands):
+    # an optional key that is present must have its type, even where its default is empty
+    doc = raw_corpus_doc(name)
+    _set(doc, path, value)
+    scenario_path = write_scenario(tmp_path, doc)
+    for command in commands:
+        code, _, err = run_quiet([command, scenario_path])
+        assert code == 2, (command, err)
+        assert err.startswith(f"input error: scenario.json.{key_path}: "), err
 
 
 # --- the exit-code contract on mutated corpus files ---

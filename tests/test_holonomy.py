@@ -1,15 +1,22 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from basicindex import (
     HolonomyGroup,
     NotInvariantError,
+    ScenarioModel,
     Subspace,
     check_equivariance,
     exterior_module,
     exterior_rep,
     invariant_dim_in,
+    scenario_to_dict,
+    validate_closure,
 )
+from basicindex.cli import main
 from basicindex.holonomy import derive_component_action, derive_infinitesimal_action
 from closure_builders import ROT2, so2_group, sphere_closure, torus_group
 
@@ -114,6 +121,36 @@ def test_redundant_generator_changes_nothing():
 def test_group_validation_flags_bad_matrices():
     bad = HolonomyGroup(2, ((np.eye(2), np.zeros((4, 4), dtype=complex)),), ())
     assert any("skew" in p for p in bad.validate(4))
+
+
+NORTH = sphere_closure("north")
+(ROT, DROT), = NORTH.holonomy.infinitesimal
+I4 = np.eye(4, dtype=complex)
+
+
+@pytest.mark.parametrize("infinitesimal,components,message,loads", [
+    (((np.diag([1.0, 0.0]), DROT),), (), "infinitesimal[0] slice matrix is not skew", True),
+    (((ROT, DROT + I4),), (), "infinitesimal[0] module matrix is not skew-Hermitian", True),
+    ((), ((np.array([[1.0, 1.0], [0.0, 1.0]]), I4),),
+     "components[0] slice matrix is not orthogonal", True),
+    ((), ((np.eye(2), 2.0 * I4),), "components[0] module matrix is not unitary", True),
+    # the loader rejects a wrong shape before validation, so this one has no file form
+    (((ROT, np.zeros((3, 3), dtype=complex)),), (),
+     "infinitesimal[0] module matrix has shape (3, 3)", False),
+], ids=["slice-not-skew", "module-not-skew-hermitian", "slice-not-orthogonal",
+        "module-not-unitary", "module-shape"])
+def test_bad_holonomy_matrix_fails_validation(tmp_path, capsys, infinitesimal, components,
+                                              message, loads):
+    d = dataclasses.replace(NORTH, holonomy=HolonomyGroup(2, infinitesimal, components))
+    assert {c.name: c.note for c in validate_closure(d).failures()} == \
+        {"holonomy_matrices": message}
+    if loads:
+        path = tmp_path / "bad_holonomy.json"
+        path.write_text(json.dumps(scenario_to_dict(ScenarioModel("bad", 2, (d,)))))
+        for command in ("validate", "index"):
+            assert main([command, str(path)]) == 1, command
+            out, err = capsys.readouterr()
+            assert message in out + err
 
 
 def test_check_equivariance_trivial():

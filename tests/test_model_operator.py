@@ -1,8 +1,11 @@
 import collections
 import importlib
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basicindex import (
     ClosureDatum,
@@ -22,7 +25,7 @@ from basicindex import (
     oscillator_1d_oracle,
     oscillator_levels,
 )
-from basicindex.model_operator import eigentuple_blocks
+from basicindex.model_operator import _ascending_sums, eigentuple_blocks
 from closure_builders import (
     ROT2,
     carriere_closure,
@@ -93,11 +96,60 @@ def test_compose_oracle_levels_matches_analytic():
     assert max(abs(a - b) for a, b in zip(analytic, numeric)) < 1e-5
 
 
+def left_sums(axes):
+    """Every sum taking one entry per axis, added left to right from 0.0."""
+    sums = []
+    for pick in itertools.product(*axes):
+        total = 0.0
+        for x in pick:
+            total += x
+        sums.append(total)
+    return sums
+
+
+@settings(max_examples=80)
+@given(st.lists(st.lists(st.floats(-1e3, 1e3), max_size=4).map(sorted), max_size=4))
+def test_ascending_sums_yields_every_sum_once_in_order(axes):
+    # ties, empty axes and no axes at all included; the bits match a left-to-right sum
+    got = list(_ascending_sums(axes))
+    assert [x.hex() for x in got] == [x.hex() for x in sorted(left_sums(axes))]
+
+
+def m1_uneven_datum():
+    # four copies of the two-level datum, the last with Z flipped: L = diag(-1, 1) three
+    # times and diag(1, -1) once, so the blocks have multiplicities 3, 1, 1, 3
+    module = explicit_module([np.kron(np.eye(4), C2)], np.kron(np.eye(4), SZ))
+    z = np.kron(np.diag([1.0, 1.0, 1.0, -1.0]), SX)
+    return ClosureDatum("uneven", module, (z,), HolonomyGroup.trivial_group(1))
+
+
+@pytest.mark.parametrize("make,count", [(lambda: cp2_closure(0.8, 2.1), 12),
+                                        (lambda: sphere_closure("north"), 30),
+                                        (lambda: carriere_closure("quarter"), 40),
+                                        (m1_uneven_datum, 10)],
+                         ids=["cp2", "sphere", "carriere", "uneven"])
+def test_analytic_spectrum_is_the_sorted_expansion_of_every_block(make, count):
+    # the merge of the block streams reads, bit for bit, the count lowest of all
+    # block sums, each repeated by its own block's multiplicity
+    spec = analytic_spectrum(make(), count)
+    expanded = sorted(x for b in spec.blocks
+                      for x in left_sums([oscillator_levels(lam, count) for lam in b.eigentuple])
+                      for _ in range(b.multiplicity))
+    assert spec.eigenvalues.tobytes() == np.array(expanded[:count]).tobytes()
+
+
 # --- model spectra on the worked closures ---
 
 def m1_two_level_datum():
     module = explicit_module([C2], SZ)
     return ClosureDatum("two_level", module, (SX,), HolonomyGroup.trivial_group(1))
+
+
+def test_uneven_multiplicities_repeat_each_block_by_its_own():
+    spec = analytic_spectrum(m1_uneven_datum(), 10)
+    assert [b.multiplicity for b in spec.blocks] == [3, 1, 1, 3]
+    assert spec.eigenvalues.tolist() == [0.0] * 4 + [2.0] * 6
+    assert (spec.kernel_dim_plus, spec.kernel_dim_minus) == (3, 1)
 
 
 def test_two_level_spectrum_and_kernel():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import json
@@ -108,6 +109,25 @@ def test_round_trip_equality():
             f1, f2 = s.circle_model.perturbation, s2.circle_model.perturbation
             for (k1, m1), (k2, m2) in zip(f1.coeffs, f2.coeffs):
                 assert k1 == k2 and np.allclose(m1, m2, atol=1e-15)
+
+
+def test_sin_terms_round_trip():
+    # sin(2 t) M is stored as M_2 = M / 2i, M_-2 = -M / 2i and written back as a "sin" term
+    from basicindex.localization import FourierMatrixFunction
+
+    base = load_corpus_scenario("cosine_localization")
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    pert = FourierMatrixFunction.real_terms(2, cos_terms={1: sx}, sin_terms={2: 0.5 * sx})
+    model = dataclasses.replace(
+        base, circle_model=dataclasses.replace(base.circle_model, perturbation=pert))
+    doc = json.loads(json.dumps(scenario_to_dict(model)))
+    terms = doc["circle_model"]["perturbation"]["terms"]
+    assert {t["harmonic"]: sorted(t) for t in terms} == {1: ["cos", "harmonic"],
+                                                        2: ["harmonic", "sin"]}
+    back = scenario_from_dict(doc).circle_model.perturbation
+    assert [k for k, _ in back.coeffs] == [k for k, _ in pert.coeffs] == [-2, -1, 1, 2]
+    for (_, a), (_, b) in zip(pert.coeffs, back.coeffs):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-15)
 
 
 def test_shape_error_names_key_path():

@@ -7,8 +7,10 @@ checkout of ``<rev>`` (its ``src/``, extracted with ``git archive``) and on
 the working tree, each under 1-thread BLAS, and compares stdout, stderr and
 exit code byte for byte.  The list is ``validate``, ``index`` and
 ``model-check`` (text and JSON) on every input, ``spectrum --numerical``
-(text and JSON) on every corpus closure, ``localize`` (text and JSON) on every
-corpus scenario with a circle model, ``run-corpus`` and ``list-examples``.
+(text and JSON) on every corpus closure, ``spectrum --count 1024`` and
+``spectrum --numerical`` (JSON) on the scaling m = 8 file, ``localize`` (text
+and JSON) on every corpus scenario with a circle model, ``run-corpus`` and
+``list-examples``.
 The inputs are the bundled corpus and the ``perfbench/gen.py`` rotated
 m = 3, 6, 7 and scaling m = 6, 8 files, each generated from seed 7 into a
 temporary directory; ``gen.py`` is imported and nothing under ``perfbench/``
@@ -59,6 +61,10 @@ def _commands(work: Path) -> list[list[str]]:
                          for d in model.closures]
             if model.circle_model is not None:
                 commands.append(["localize", name, *fmt])
+    # the model spectrum where it has the most blocks: 256 on the scaling m = 8 file
+    large, closure = str(files[-1]), bi.load_scenario(files[-1]).closures[0].name
+    commands += [["spectrum", large, "--closure", closure, *extra, "--format", "json"]
+                 for extra in (["--count", "1024"], ["--numerical"])]
     return commands + [["run-corpus"], ["list-examples"]]
 
 
