@@ -16,15 +16,11 @@ from importlib import import_module as _import_module
 
 from .cliff import (
     CliffordModule,
-    clifford_c,
     clifford_hat,
-    contract_op,
     derived_exterior_action,
     explicit_module,
     exterior_module,
     exterior_rep,
-    parity_grading,
-    wedge_op,
 )
 from .holonomy import (
     HolonomyGroup,
@@ -48,15 +44,12 @@ from .local_index import (
     ScenarioModel,
     global_index,
     local_index,
-    odd_invertible_perturbation,
     validate_closure,
 )
 from .model_operator import (
     ModelSpectrum,
     RouteConsistencyError,
     analytic_spectrum,
-    compose_levels,
-    compose_oracle_levels,
     invariant_kernel,
     model_cross_check,
     oscillator_1d_oracle,
@@ -76,8 +69,8 @@ __version__ = "0.1.0"
 # the circle lab's exported names, the module's own among them, imported on first
 # access (PEP 562)
 _LAZY = ("localization", "CircleModel", "CircleModelError", "ConvergenceReport",
-         "DiscretizationError", "FourierMatrixFunction", "carriere_preset",
-         "convergence_report", "cosine_preset", "model_spectrum_at_zeros")
+         "DiscretizationError", "FourierMatrixFunction", "convergence_report",
+         "model_spectrum_at_zeros")
 # the public names bound above (the eager submodules among them), then the lazy ones
 __all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY))
 

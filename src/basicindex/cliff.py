@@ -5,12 +5,12 @@ order: the basis element for a subset S of {1..m} is dx_{i1} ^ ... ^ dx_{ik}
 with i1 < ... < ik, stored at position sum_{i in S} 2^(i-1).  Position 0 is
 the scalar 1 and position 2^m - 1 is the volume form.  Each c(e_a), chat(e_a),
 dx_a ^ and grading is a (partial) signed permutation of this basis: one
-monomial builder, _letters, writes them as index arrays, and the public
-builders return its dense views, plain complex numpy matrices.
+monomial builder, _letters, writes them as index arrays, and the dense
+builders read its dense views, plain complex numpy matrices.
 
-Sign conventions: c(e)^2 = -1 and chat(e)^2 = +1; wedge_op(j) is left
-multiplication by dx_j, so reordering signs follow from antisymmetry
-(wedge_op(2) @ dx_1 = dx_2 ^ dx_1 = -dx_1 ^ dx_2).
+Sign conventions: c(e)^2 = -1 and chat(e)^2 = +1; the letter dx_j ^ of
+_letters is left multiplication by dx_j, so reordering signs follow from
+antisymmetry (dx_2 ^ applied to dx_1 is dx_2 ^ dx_1 = -dx_1 ^ dx_2).
 """
 
 from __future__ import annotations
@@ -32,28 +32,12 @@ def _degree_signs(m: int) -> Array:
 
 def _letters(m: int, axes, signs, wedge: int = 1) -> _Monomial:
     """wedge dx_a ^ + sign dx_a -| on Lambda*(R^m) for each letter a of axes and its sign
-    (c(e_a): 1, -1; chat(e_a): 1, 1; wedge_op: 1, 0; contract_op: 0, 1).  Row s holds
+    (c(e_a): 1, -1; chat(e_a): 1, 1; dx_a ^: 1, 0; dx_a -|: 0, 1).  Row s holds
     (-1)^#{i in s : i < a} times wedge (a in s) or sign (a not in s) at column s ^ bit(a)."""
     s = np.arange(1 << m)
     bits = (1 << (np.asarray(axes, dtype=np.int64) - 1))[:, None]
     vals = _degree_signs(m)[s & (bits - 1)] * np.where(s & bits, wedge, np.reshape(signs, (-1, 1)))
     return _Monomial(s ^ bits, vals.astype(complex))
-
-
-def wedge_op(j: int, m: int) -> Array:
-    """Matrix of left exterior multiplication dx_j ^ (.) on Lambda*(R^m).
-
-    Maps the basis element for S to (-1)^(#{i in S : i < j}) times the
-    element for S | {j}, and to zero when j is already in S.
-    """
-    if not 1 <= j <= m:
-        raise IndexError(f"generator index {j} out of range 1..{m}")
-    return _letters(m, [j], 0).dense()[0]
-
-
-def contract_op(j: int, m: int) -> Array:
-    """Interior product dx_j -| (.), the adjoint of wedge_op(j, m)."""
-    return wedge_op(j, m).conj().T
 
 
 def _combination(v: Array, m: int, sign: int) -> Array:
@@ -67,22 +51,12 @@ def _combination(v: Array, m: int, sign: int) -> Array:
     return out
 
 
-def clifford_c(v: Array, m: int) -> Array:
-    """Clifford action c(v) = sum_j v_j (dx_j^ - dx_j-|); c(v)^2 = -|v|^2."""
-    return _combination(v, m, -1)
-
-
 def clifford_hat(v: Array, m: int) -> Array:
     """Anti-action chat(v) = sum_j v_j (dx_j^ + dx_j-|); chat(v)^2 = +|v|^2.
 
     chat(u) anticommutes with every c(v).
     """
     return _combination(v, m, 1)
-
-
-def parity_grading(m: int) -> Array:
-    """Involution (-1)^(form degree) on Lambda*(R^m)."""
-    return np.diag(_degree_signs(m).astype(complex))
 
 
 def exterior_rep(g: Array) -> Array:
@@ -99,7 +73,7 @@ def exterior_rep(g: Array) -> Array:
     if np.linalg.norm(g.T @ g - np.eye(m)) > 1e-9:
         raise ValueError("g is not orthogonal within tolerance")
     dim = 1 << m
-    wedges = [_combination(g[:, j], m, 0) for j in range(m)]  # sum_i g_ij wedge_op(i + 1)
+    wedges = [_combination(g[:, j], m, 0) for j in range(m)]  # sum_i g_ij dx_(i+1) ^
     rep = np.zeros((dim, dim), dtype=complex)
     rep[0, 0] = 1.0
     # column for S = e_min(S) ^ e_(S minus its lowest index), filled in
@@ -114,7 +88,7 @@ def derived_exterior_action(x: Array) -> Array:
     """Leibniz extension of a skew matrix x to Lambda*(R^m).
 
     Equals d/dt|_0 exterior_rep(exp(t x)); realized as
-    sum_{i,j} x_ij wedge_op(i) contract_op(j).
+    sum_{i,j} x_ij (dx_i ^)(dx_j -|).
     """
     x = np.asarray(x, dtype=float)
     m = x.shape[0]

@@ -94,10 +94,6 @@ class ClosureValidation:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.severity == "hard")
 
-    @property
-    def warnings(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if c.severity == "warning" and not c.passed)
-
     def failures(self) -> tuple[ValidationCheck, ...]:
         return tuple(c for c in self.checks if c.severity == "hard" and not c.passed)
 
@@ -409,26 +405,3 @@ def global_index(s: ScenarioModel, tol: float = DEFAULT_TOL) -> int:
             raise type(exc)(f"closure {d.name!r}: {exc}") from exc
         total += ind
     return total
-
-
-def odd_invertible_perturbation(module: CliffordModule) -> Array:
-    """The canonical invertible odd perturbation in odd codimension.
-
-    Z = i^(q(q+1)/2) c_1 c_2 ... c_q for q = module.m odd.  The returned
-    matrix is verified Hermitian, odd, and unitary (so its singular values
-    are 1 and the perturbation has no critical closures at all).
-    """
-    q = module.m
-    if q % 2 == 0:
-        raise ValueError(f"codimension {q} is even; the construction needs odd q")
-    z = np.eye(module.dim, dtype=complex) * (1j ** ((q * (q + 1)) // 2))
-    for cj in module.c:
-        z = z @ cj
-    eye = np.eye(module.dim)
-    if np.linalg.norm(z - z.conj().T) > DEFAULT_TOL:
-        raise ClosureValidationError("constructed Z is not Hermitian; module relations are off")
-    if np.linalg.norm(z @ z - eye) > DEFAULT_TOL:
-        raise ClosureValidationError("constructed Z is not unitary; module relations are off")
-    if np.linalg.norm(module.grading @ z + z @ module.grading) > DEFAULT_TOL:
-        raise ClosureValidationError("constructed Z is not odd for the module grading")
-    return z

@@ -10,7 +10,6 @@ operator is banded in mode space and assembles exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -65,10 +64,6 @@ class FourierMatrixFunction:
             if np.linalg.norm(mat) > 0:
                 coeffs.append((k, mat))
         return FourierMatrixFunction(dim, tuple(coeffs))
-
-    @staticmethod
-    def zero(dim: int) -> "FourierMatrixFunction":
-        return FourierMatrixFunction(dim, ())
 
     @staticmethod
     def real_terms(dim: int, cos_terms: dict[int, Array] | None = None,
@@ -674,37 +669,3 @@ def convergence_report(model: CircleModel, s_list: list[float], j_max: int,
                              spectral_index=None, kernel_plus=None, kernel_minus=None))
     growth = min(float(r.eigenvalues[0]) / r.s for r in rows)
     return ConvergenceReport(tuple(rows), None, None, None, None, None, growth, growth > 0.0)
-
-
-GOLDEN_STRETCH = (3.0 + math.sqrt(5.0)) / 2.0
-
-
-def carriere_preset(stretch: float = GOLDEN_STRETCH) -> CircleModel:
-    """The hyperbolic-torus flow reduced to the {1, dt} sector of its basic
-    form bundle, rescaled to period 2 pi.
-
-    Z = 2 pi cos(t) (dt^ + dt-|) keeps the unit-period normalization of the
-    linearization (eigenvalues +/- 2 pi at the zeros t = pi/2, 3 pi/2); the
-    drift is the Hermitian stand-in (log stretch) i c(d/dt) for the
-    mean-curvature correction, whose magnitude is the metric's stretch
-    exponent.  stretch defaults to the dilation factor of [[2, 1], [1, 1]]
-    and must exceed 1.
-    """
-    if stretch <= 1.0:
-        raise CircleModelError("stretch must exceed 1 (hyperbolic dilation)")
-    c = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    eps = np.diag([1.0, -1.0]).astype(complex)
-    chat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    z = FourierMatrixFunction.real_terms(2, cos_terms={1: 2.0 * np.pi * chat})
-    drift = FourierMatrixFunction.real_terms(2, cos_terms={0: math.log(stretch) * 1j * c})
-    return CircleModel(fiber_dim=2, symbol=c, grading=eps, drift=drift, perturbation=z)
-
-
-def cosine_preset() -> CircleModel:
-    """Minimal localization example: Z = cos(t) (dt^ + dt-|) on the 2-dim fiber."""
-    c = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    eps = np.diag([1.0, -1.0]).astype(complex)
-    chat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    z = FourierMatrixFunction.real_terms(2, cos_terms={1: chat})
-    return CircleModel(fiber_dim=2, symbol=c, grading=eps,
-                       drift=FourierMatrixFunction.zero(2), perturbation=z)

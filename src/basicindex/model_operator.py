@@ -107,19 +107,6 @@ def _streams(tuples, solve, count: int) -> list[Iterator[float]]:
     return [_ascending_sums([levels[lam] for lam in tup]) for tup in tuples]
 
 
-def compose_levels(eigentuple: Array, count: int) -> list[float]:
-    """count smallest values of sum_j (|lam_j|(2 n_j + 1) + lam_j) over n_j >= 0."""
-    (stream,) = _streams([list(map(float, eigentuple))], oscillator_levels, count)
-    return list(islice(stream, count))
-
-
-def compose_oracle_levels(eigentuple: Array, count: int) -> list[float]:
-    """Like compose_levels but summing per-axis finite-difference oracle levels;
-    the independent numerical counterpart for cross-checking."""
-    (stream,) = _streams([list(map(float, eigentuple))], oscillator_1d_oracle, count)
-    return list(islice(stream, count))
-
-
 @dataclass(frozen=True)
 class EigentupleBlock:
     """One distinct joint eigentuple within a grading sign."""
@@ -135,11 +122,6 @@ class ModelSpectrum:
     kernel_dim_plus: int
     kernel_dim_minus: int
     blocks: tuple[EigentupleBlock, ...]
-
-
-def eigentuple_blocks(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[EigentupleBlock, ...]:
-    """Distinct joint eigentuples of (L_1..L_m) per grading sign, with multiplicities."""
-    return _blocks(analyze_closure(d, tol))
 
 
 def _blocks(a: ClosureAnalysis) -> tuple[EigentupleBlock, ...]:

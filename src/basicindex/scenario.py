@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # the circle lab is imported only to parse a circle_model sec
 
 Array = np.ndarray
 
+# the most letters an exterior module may have (dimension 2^m): index on a hat_linear
+# closure peaks at 4.0 GB resident for m = 19 and fails for m = 20 under a 4 GB limit
+MAX_AMBIENT_DIM = 19
+
 
 class ScenarioFormatError(ValueError):
     """Schema violation; the message carries the offending key path."""
@@ -144,6 +148,11 @@ def _parse_module(obj: dict, m: int, path: str) -> CliffordModule:
         if not _is_int(ambient) or ambient < m:
             raise ScenarioFormatError(f"{path}.ambient_dim",
                                       f"expected an integer >= normal_dim = {m}")
+        if ambient > MAX_AMBIENT_DIM:
+            key = f"{path}.ambient_dim" if "ambient_dim" in obj else \
+                f"{path.rpartition('.')[0]}.normal_dim"
+            raise ScenarioFormatError(key, f"exterior dimension 2^{ambient} exceeds "
+                                           f"2^{MAX_AMBIENT_DIM}")
         axes = obj.get("generator_axes", list(range(1, m + 1)))
         if (not isinstance(axes, list) or len(axes) != m
                 or not all(_is_int(a) for a in axes)):

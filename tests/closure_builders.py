@@ -1,17 +1,21 @@
 """Programmatic closure fixtures mirroring the bundled corpus, built straight
 from the matrix constructors so scenario parsing stays out of engine tests."""
 
+import dataclasses
+import math
+
 import numpy as np
 
 from basicindex import (
     ClosureDatum,
+    FourierMatrixFunction,
     HolonomyGroup,
-    clifford_c,
     clifford_hat,
     derived_exterior_action,
     explicit_module,
     exterior_module,
     exterior_rep,
+    load_corpus_scenario,
 )
 from basicindex.holonomy import derive_infinitesimal_action
 
@@ -59,13 +63,8 @@ def torus_group(module):
 def cp2_closure(alpha, beta, name="fixed_point"):
     """Transverse-signature datum with weight differences alpha, beta."""
     module = exterior_module(4, "chirality")
-    e = np.eye(4)
-    z = (
-        alpha * 1j * clifford_c(e[1], 4),
-        -alpha * 1j * clifford_c(e[0], 4),
-        beta * 1j * clifford_c(e[3], 4),
-        -beta * 1j * clifford_c(e[2], 4),
-    )
+    c = module.c
+    z = (alpha * 1j * c[1], -alpha * 1j * c[0], beta * 1j * c[3], -beta * 1j * c[2])
     return ClosureDatum(name=name, module=module, z=z, holonomy=torus_group(module))
 
 
@@ -117,6 +116,18 @@ def reflected_closure():
                                       ((dg, exterior_rep(dg)),)))
 
 
+def odd_invertible_perturbation(module):
+    """Z = i^(q(q+1)/2) c_1 c_2 ... c_q for odd q = module.m: Hermitian, odd and
+    unitary, so its singular values are 1 and it has no critical closures at all."""
+    q = module.m
+    if q % 2 == 0:
+        raise ValueError(f"codimension {q} is even; the construction needs odd q")
+    z = np.eye(module.dim, dtype=complex) * (1j ** ((q * (q + 1)) // 2))
+    for cj in module.c:
+        z = z @ cj
+    return z
+
+
 def conjugated(d, u):
     """d written in the basis u: every module matrix a becomes u a u^H."""
     def conj(a):
@@ -128,6 +139,27 @@ def conjugated(d, u):
         tuple(conj(z) for z in d.z),
         HolonomyGroup(hol.m, tuple((x, conj(dx)) for x, dx in hol.infinitesimal),
                       tuple((g, conj(rho)) for g, rho in hol.components)))
+
+
+# --- circle models from the corpus ---
+
+def cosine_model():
+    """cosine_localization.json's circle model: Z = cos(t) (dt^ + dt-|), no drift."""
+    return load_corpus_scenario("cosine_localization").circle_model
+
+
+def carriere_model():
+    """carriere.json's circle model: Z = 2 pi cos(t) (dt^ + dt-|) and the drift
+    (log stretch) i c(d/dt) at the golden stretch (3 + sqrt 5) / 2 of [[2, 1], [1, 1]]."""
+    return load_corpus_scenario("carriere").circle_model
+
+
+def stretched_carriere(stretch):
+    """carriere_model() with the drift (log stretch) i c(d/dt) of another stretch."""
+    model = carriere_model()
+    drift = FourierMatrixFunction.real_terms(
+        2, cos_terms={0: math.log(stretch) * 1j * model.symbol})
+    return dataclasses.replace(model, drift=drift)
 
 
 # --- per-basis-element reference builders: the original dense loops, kept as an

@@ -12,10 +12,9 @@ import numpy as np
 from basicindex import (
     ClosureDatum,
     ScenarioModel,
+    analytic_spectrum,
     clifford_hat,
-    compose_levels,
     convergence_report,
-    cosine_preset,
     exterior_module,
     explicit_module,
     global_index,
@@ -23,14 +22,19 @@ from basicindex import (
     joint_eig,
     load_corpus_scenario,
     local_index,
-    odd_invertible_perturbation,
     oscillator_1d_oracle,
+    oscillator_levels,
     validate_closure,
 )
 from basicindex.cli import main as cli_main
 from basicindex.localization import CircleModel, FourierMatrixFunction
-from basicindex.model_operator import _ascending_sums, eigentuple_blocks
-from closure_builders import random_unitary, sphere_closure
+from basicindex.model_operator import _ascending_sums
+from closure_builders import (
+    cosine_model,
+    odd_invertible_perturbation,
+    random_unitary,
+    sphere_closure,
+)
 
 
 def criterion(number, title, budget_seconds):
@@ -126,8 +130,9 @@ def test_criterion_5_oscillator_oracle():
 
     for name in GOLDEN:
         for d in load_corpus_scenario(name).closures:
-            for block in eigentuple_blocks(d):
-                analytic = compose_levels(np.array(block.eigentuple), 5)
+            for block in analytic_spectrum(d, 5).blocks:
+                analytic = list(itertools.islice(
+                    _ascending_sums([oscillator_levels(lam, 5) for lam in block.eigentuple]), 5))
                 axes = [oracle(lam) for lam in block.eigentuple]
                 numeric = list(itertools.islice(_ascending_sums(axes), 5))
                 worst = max(abs(a - b) for a, b in zip(analytic, numeric))
@@ -136,7 +141,7 @@ def test_criterion_5_oscillator_oracle():
 
 @criterion(6, "localization convergence", 60.0)
 def test_criterion_6_localization_convergence():
-    report = convergence_report(cosine_preset(), [10.0, 100.0, 1000.0, 10000.0],
+    report = convergence_report(cosine_model(), [10.0, 100.0, 1000.0, 10000.0],
                                 j_max=4, n_modes=256)
     gaps = [r.gap for r in report.rows]
     assert gaps[1] > gaps[2] > gaps[3], gaps
@@ -151,7 +156,7 @@ def test_criterion_6_localization_convergence():
     c2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     constant = CircleModel(2, c2, np.diag([1.0, -1.0]).astype(complex),
-                           FourierMatrixFunction.zero(2),
+                           FourierMatrixFunction(2, ()),
                            FourierMatrixFunction.real_terms(2, cos_terms={0: sx}))
     growth = convergence_report(constant, [10.0, 100.0, 1000.0, 10000.0],
                                 j_max=4, n_modes=256)

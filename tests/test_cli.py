@@ -216,13 +216,12 @@ EXPORTS = """CircleModel CircleModelError CliffordModule ClosureDatum ClosureVal
 ConvergenceReport DegenerateEigenvalueError DiscretizationError FourierMatrixFunction
 HolonomyGroup JointEigenstructure LinalgError LocalIndexDetail ModelSpectrum NotInvariantError
 RouteConsistencyError ScenarioFormatError ScenarioModel Subspace analytic_spectrum
-carriere_preset check_equivariance cliff clifford_c clifford_hat compose_levels
-compose_oracle_levels contract_op convergence_report corpus_names cosine_preset
-derived_exterior_action explicit_module exterior_module exterior_rep global_index hermitian_eig
-holonomy invariant_dim_in invariant_kernel joint_eig linalg load_corpus_scenario load_scenario
+check_equivariance cliff clifford_hat convergence_report corpus_names derived_exterior_action
+explicit_module exterior_module exterior_rep global_index hermitian_eig holonomy
+invariant_dim_in invariant_kernel joint_eig linalg load_corpus_scenario load_scenario
 local_index localization model_cross_check model_operator model_spectrum_at_zeros nullspace
-odd_invertible_perturbation oscillator_1d_oracle oscillator_levels parity_grading scenario
-scenario_from_dict scenario_to_dict validate_closure wedge_op""".split()
+oscillator_1d_oracle oscillator_levels scenario scenario_from_dict scenario_to_dict
+validate_closure""".split()
 
 
 def test_every_export_resolves_lazily():
@@ -538,19 +537,26 @@ def test_holonomy_kind_is_input_error(tmp_path, name, kind, key):
     assert err.startswith(f"input error: scenario.json.closures[0].holonomy.{key}: ")
 
 
-@pytest.mark.parametrize("name,path,value,key_path,commands", [
-    ("sphere_suspension", ("closures", 0, "holonomy"),
-     {"infinitesimal": [], "module_action": {"infinitesimal": 5}},
+@pytest.mark.parametrize("name,edits,key_path,commands", [
+    ("sphere_suspension", {("closures", 0, "holonomy"):
+                           {"infinitesimal": [], "module_action": {"infinitesimal": 5}}},
      "closures[0].holonomy.module_action.infinitesimal", ("index", "validate")),
-    ("sphere_suspension", ("closures", 0, "holonomy"),
-     {"infinitesimal": [], "module_action": {"components": 7}},
+    ("sphere_suspension", {("closures", 0, "holonomy"):
+                           {"infinitesimal": [], "module_action": {"components": 7}}},
      "closures[0].holonomy.module_action.components", ("index", "validate")),
-    ("carriere", ("circle_model", "drift"), 5, "circle_model.drift", ("index", "localize")),
+    ("carriere", {("circle_model", "drift"): 5}, "circle_model.drift", ("index", "localize")),
+    # an exterior algebra too large to build: the key that set its dimension is named
+    *[("sphere_suspension", {("closures", 0, "module", "ambient_dim"): dim},
+       "closures[0].module.ambient_dim", ("index",)) for dim in (10**20, 40, 30)],
+    ("sphere_suspension", {("codimension",): 40, ("closures", 0, "normal_dim"): 40},
+     "closures[0].normal_dim", ("index",)),
 ])
-def test_non_array_or_object_is_input_error(tmp_path, name, path, value, key_path, commands):
-    # an optional key that is present must have its type, even where its default is empty
+def test_non_array_or_object_is_input_error(tmp_path, name, edits, key_path, commands):
+    # an optional key that is present must have its type, even where its default is empty;
+    # a dimension must fit the loader's bound
     doc = raw_corpus_doc(name)
-    _set(doc, path, value)
+    for path, value in edits.items():
+        _set(doc, path, value)
     scenario_path = write_scenario(tmp_path, doc)
     for command in commands:
         code, _, err = run_quiet([command, scenario_path])

@@ -12,9 +12,14 @@ from basicindex import (
     joint_eig,
     local_index,
     nullspace,
-    wedge_op,
 )
-from closure_builders import conjugated, cp2_closure, random_hermitian, random_unitary
+from closure_builders import (
+    conjugated,
+    cp2_closure,
+    random_hermitian,
+    random_unitary,
+    reference_wedge_op,
+)
 
 
 # --- closed-form oracles (written before the solver tests that use them) ---
@@ -102,7 +107,7 @@ def test_joint_eig_rotation_example_top_form():
     # both number operators have eigenvalue -1 exactly on the volume line
     l_ops = []
     for j in (1, 2):
-        w = wedge_op(j, 2)
+        w = reference_wedge_op(j, 2)
         ct = w.conj().T
         l_ops.append(-(w @ ct - ct @ w))
     struct = joint_eig(l_ops)
@@ -209,7 +214,7 @@ def test_nullspace_zero_matrix():
 
 
 def test_nullspace_wedge():
-    ns = nullspace(wedge_op(1, 1))
+    ns = nullspace(reference_wedge_op(1, 1))
     assert ns.dim == 1
     assert abs(abs(ns.basis[1, 0]) - 1.0) < 1e-12
 

@@ -13,7 +13,6 @@ from basicindex import (
     HolonomyGroup,
     NotInvariantError,
     ScenarioModel,
-    contract_op,
     corpus_names,
     exterior_module,
     explicit_module,
@@ -21,9 +20,7 @@ from basicindex import (
     invariant_kernel,
     load_corpus_scenario,
     local_index,
-    odd_invertible_perturbation,
     validate_closure,
-    wedge_op,
 )
 from basicindex.linalg import _monomial
 from basicindex.local_index import ClosureValidation, analyze_closure
@@ -32,7 +29,9 @@ from closure_builders import (
     conjugated,
     cp2_closure,
     hat_closure,
+    odd_invertible_perturbation,
     random_unitary,
+    reference_wedge_op,
     reflected_closure,
     rotated_closure,
     sphere_closure,
@@ -47,6 +46,10 @@ def failed_names(report):
     return {c.name for c in report.failures()}
 
 
+def warned_names(report):
+    return {c.name for c in report.checks if c.severity == "warning" and not c.passed}
+
+
 def check_named(report, name):
     return next(c for c in report.checks if c.name == name)
 
@@ -56,14 +59,14 @@ def check_named(report, name):
 def test_sphere_closure_validates_cleanly():
     report = validate_closure(sphere_closure("north"))
     assert report.passed
-    assert report.warnings == ()
+    assert warned_names(report) == set()
     assert np.allclose(report.gram, np.eye(2))
 
 
 def test_cp2_closure_validates_with_symbol_warning():
     report = validate_closure(cp2_closure(0.8, 2.1))
     assert report.passed
-    assert {w.name for w in report.warnings} == {"symbol_anticommutation_all_pairs"}
+    assert warned_names(report) == {"symbol_anticommutation_all_pairs"}
 
 
 def test_malformed_equal_perturbations_fail_gram():
@@ -141,7 +144,8 @@ def test_validation_is_report_only():
 # --- operator construction ---
 
 def test_build_L_sphere_north_matches_number_operator():
-    w1, ct1 = wedge_op(1, 2), contract_op(1, 2)
+    w1 = reference_wedge_op(1, 2)
+    ct1 = w1.conj().T
     expected = -(w1 @ ct1 - ct1 @ w1)
     l_ops = validate_closure(sphere_closure("north")).l_ops
     assert np.allclose(l_ops[0], expected, atol=1e-12)
@@ -420,6 +424,7 @@ def test_odd_perturbation_q3():
     assert np.allclose(z, expected, atol=1e-12)
     assert np.linalg.norm(z - z.conj().T) < 1e-12
     assert np.allclose(z @ z, np.eye(8), atol=1e-12)
+    assert np.linalg.norm(module.grading @ z + z @ module.grading) < 1e-12
 
 
 def test_odd_perturbation_q5():

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from basicindex import (
     ClosureValidationError,
     DiscretizationError,
     FourierMatrixFunction,
-    carriere_preset,
     convergence_report,
-    cosine_preset,
     model_spectrum_at_zeros,
 )
 from basicindex import localization
@@ -28,6 +27,7 @@ from basicindex.localization import (
     _inertia,
     find_zeros,
 )
+from closure_builders import carriere_model, cosine_model, stretched_carriere
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -35,12 +35,12 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def flat_model():
-    return CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2),
-                       FourierMatrixFunction.zero(2))
+    return CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()),
+                       FourierMatrixFunction(2, ()))
 
 
 def constant_z_model():
-    return CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2),
+    return CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()),
                        FourierMatrixFunction.real_terms(2, cos_terms={0: SX}))
 
 
@@ -59,7 +59,7 @@ def test_fourier_derivative():
 
 
 def test_grid_values_match_pointwise_evaluation():
-    for z in (carriere_preset().perturbation, windowed_linear_model().perturbation):
+    for z in (carriere_model().perturbation, windowed_linear_model().perturbation):
         ts = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         pointwise = np.array([z(t) for t in ts])
         scale = np.max(np.abs(pointwise))
@@ -75,7 +75,7 @@ def test_aliased_harmonic_is_rejected():
 
 def test_model_validation_rejects_skew_drift():
     drift = FourierMatrixFunction.real_terms(2, cos_terms={0: 0.5 * C2})
-    m = CircleModel(2, C2, SZ, drift, FourierMatrixFunction.zero(2))
+    m = CircleModel(2, C2, SZ, drift, FourierMatrixFunction(2, ()))
     with pytest.raises(CircleModelError, match="[Hh]ermitian"):
         m.validate()
 
@@ -83,13 +83,13 @@ def test_model_validation_rejects_skew_drift():
 def test_model_validation_rejects_even_perturbation():
     z = FourierMatrixFunction.real_terms(2, cos_terms={1: SZ})
     with pytest.raises(CircleModelError, match="odd"):
-        CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2), z).validate()
+        CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()), z).validate()
 
 
 def test_model_validation_rejects_odd_fiber():
     with pytest.raises(CircleModelError, match="even"):
         CircleModel(1, np.array([[1j]]), np.array([[1.0]]),
-                    FourierMatrixFunction.zero(1), FourierMatrixFunction.zero(1)).validate()
+                    FourierMatrixFunction(1, ()), FourierMatrixFunction(1, ())).validate()
 
 
 def test_flat_model_spectrum():
@@ -101,21 +101,21 @@ def test_flat_model_spectrum():
 
 
 def test_assembled_matrix_is_psd_for_carriere():
-    h = _assemble_sparse(carriere_preset(), 1.0, 64).toarray()
+    h = _assemble_sparse(carriere_model(), 1.0, 64).toarray()
     assert np.linalg.norm(h - h.conj().T) < 1e-10
     assert np.linalg.eigvalsh(h)[0] >= -1e-8 * np.linalg.norm(h)
 
 
 def flipped_cosine_model():
     """cos(t) chat with the grading diag(-1, 1): the +1 fiber row comes second."""
-    return CircleModel(2, C2, -SZ, FourierMatrixFunction.zero(2),
+    return CircleModel(2, C2, -SZ, FourierMatrixFunction(2, ()),
                        FourierMatrixFunction.real_terms(2, cos_terms={1: SX}))
 
 
 def interleaved_cosine_model():
     """Two copies of cos(t) chat on C^2 (x) C^2, graded diag(1, -1, 1, -1)."""
     eye2 = np.eye(2)
-    return CircleModel(4, np.kron(eye2, C2), np.kron(eye2, SZ), FourierMatrixFunction.zero(4),
+    return CircleModel(4, np.kron(eye2, C2), np.kron(eye2, SZ), FourierMatrixFunction(4, ()),
                        FourierMatrixFunction.real_terms(4, cos_terms={1: np.kron(eye2, SX)}))
 
 
@@ -123,7 +123,7 @@ def test_grading_blocks_are_exact():
     # graded, the model's grading is diag(I, -I), so H+ and H- are the diagonal halves of
     # H and the off-diagonal halves are empty; the doubled H+ values are the low spectrum,
     # and inertia(H, mu) = inertia(H+, mu) + inertia(H-, mu) between every two levels
-    for model in (cosine_preset(), flipped_cosine_model(), interleaved_cosine_model()):
+    for model in (cosine_model(), flipped_cosine_model(), interleaved_cosine_model()):
         graded = _graded(model)
         half = model.fiber_dim // 2
         assert np.array_equal(graded.grading, np.diag([1.0] * half + [-1.0] * half))
@@ -149,7 +149,7 @@ def test_grading_blocks_are_exact():
 def test_block_counts_above_the_certified_values():
     # a threshold past the 16 certified values, inside a level that holds more:
     # the block counts are checked against the inertia count, not against 16
-    h = _assemble_sparse(_graded(cosine_preset()), 50.0, 64)
+    h = _assemble_sparse(_graded(cosine_model()), 50.0, 64)
     blocks = _grading_blocks(h)
     full = _block_eigs(blocks, 16)
     threshold = full[-1] + 1e-3
@@ -161,7 +161,7 @@ def even_leak_model():
     """cos(t) chat + 3e-10 I: the even part passes validate()'s 1e-9 checks, but
     it couples the grading blocks of H_s by about 1e-10 of its largest entry."""
     z = FourierMatrixFunction.real_terms(2, cos_terms={0: 3e-10 * np.eye(2), 1: SX})
-    return CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2), z)
+    return CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()), z)
 
 
 def test_even_part_of_z_fails_the_leak_check():
@@ -177,7 +177,7 @@ def test_even_part_of_z_fails_the_leak_check():
 def test_unpaired_blocks_fail_the_pairing_certificate():
     # either block gives the low spectrum; H- scaled by 1.5 keeps its kernel but
     # not its positive levels
-    plus, minus = _grading_blocks(_assemble_sparse(_graded(cosine_preset()), 10.0, 64))
+    plus, minus = _grading_blocks(_assemble_sparse(_graded(cosine_model()), 10.0, 64))
     assert np.allclose(_block_eigs((plus, minus), 10), _block_eigs((minus, plus), 10),
                        rtol=0.0, atol=1e-9)
     with pytest.raises(DiscretizationError, match="grading blocks are not paired: 5 and 3 "):
@@ -191,7 +191,7 @@ def test_one_sweep_validates_and_grades_the_model_once(monkeypatch):
     monkeypatch.setattr(CircleModel, "validate",
                         lambda self: calls.append("validate") or validate(self))
     monkeypatch.setattr(localization, "_graded", lambda model: calls.append("graded") or graded(model))
-    rep = convergence_report(cosine_preset(), [10.0, 100.0, 1000.0], 4, 128)
+    rep = convergence_report(cosine_model(), [10.0, 100.0, 1000.0], 4, 128)
     assert len(rep.rows) == 3 and sorted(calls) == ["graded", "validate"]
 
 
@@ -202,7 +202,7 @@ def test_unwidened_block_solve_factors_each_block_once(monkeypatch):
     monkeypatch.setattr(localization, "_inertia",
                         lambda h, mu: counted.append(mu) or inertia(h, mu))
     monkeypatch.setattr(localization, "_cluster_count", None)  # a widening would fail
-    blocks = _grading_blocks(_assemble_sparse(_graded(cosine_preset()), 10.0, 64))
+    blocks = _grading_blocks(_assemble_sparse(_graded(cosine_model()), 10.0, 64))
     low = _block_eigs(blocks, 10)
     assert len(counted) == 2 and counted[0] == counted[1] > low[-1]
 
@@ -211,7 +211,7 @@ def test_inertia_next_to_a_16_fold_level():
     # cos(4 t) chat at s = 100: 8 kernel levels, then 16 copies of 7.9187.  An
     # unpivoted count 1e-8 above them missed 2 copies; at the certificate's
     # cluster width above them it is exact
-    model = CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2),
+    model = CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()),
                         FourierMatrixFunction.real_terms(2, cos_terms={4: SX}))
     h = _assemble_sparse(model, 100.0, 128)
     dense = np.linalg.eigvalsh(h.toarray())
@@ -223,7 +223,7 @@ def test_inertia_next_to_a_16_fold_level():
 
 
 def test_cosine_zeros_and_levels():
-    mz = model_spectrum_at_zeros(cosine_preset(), count=6)
+    mz = model_spectrum_at_zeros(cosine_model(), count=6)
     assert np.allclose([z.t for z in mz.zeros], [np.pi / 2, 3 * np.pi / 2], atol=1e-9)
     for z in mz.zeros:
         assert np.allclose(np.sort(z.eigenvalues), [-1.0, 1.0], atol=1e-9)
@@ -246,7 +246,7 @@ def degenerate_cosine_model(seed):
         return u @ np.kron(a, b) @ u.conj().T
 
     return CircleModel(8, lift(C2, eye4), lift(SZ, np.diag([1.0, 1.0, -1.0, -1.0])),
-                       FourierMatrixFunction.zero(8),
+                       FourierMatrixFunction(8, ()),
                        FourierMatrixFunction.real_terms(8, cos_terms={1: lift(SX, eye4)}))
 
 
@@ -322,7 +322,7 @@ def test_injected_stall_is_widened_to_its_cluster(monkeypatch):
 
 def test_assembly_rejects_more_than_max_modes():
     with pytest.raises(CircleModelError, match=f"at most {MAX_MODES}"):
-        _assemble_sparse(cosine_preset(), 10.0, MAX_MODES + 1)
+        _assemble_sparse(cosine_model(), 10.0, MAX_MODES + 1)
 
 
 @pytest.mark.parametrize("base,grids,advice", [
@@ -346,15 +346,15 @@ def test_grid_doubling_stops_at_max_modes(monkeypatch, base, grids, advice):
 
 def test_symbol_is_checked_as_a_clifford_module():
     with pytest.raises(CircleModelError, match="Clifford relation"):
-        CircleModel(2, 2.0 * C2, SZ, FourierMatrixFunction.zero(2),
-                    FourierMatrixFunction.zero(2)).validate()
+        CircleModel(2, 2.0 * C2, SZ, FourierMatrixFunction(2, ()),
+                    FourierMatrixFunction(2, ())).validate()
 
 
 def test_zero_with_non_scalar_square_is_rejected():
     # on a 4-dim fiber Z'(t)^2 need not be a multiple of I; each zero is an
     # m = 1 closure, so it fails gram_scalar as a closure would
     eye2 = np.eye(2)
-    model = CircleModel(4, np.kron(C2, eye2), np.kron(SZ, eye2), FourierMatrixFunction.zero(4),
+    model = CircleModel(4, np.kron(C2, eye2), np.kron(SZ, eye2), FourierMatrixFunction(4, ()),
                         FourierMatrixFunction.real_terms(
                             4, cos_terms={1: np.kron(SX, np.diag([1.0, 2.0]))}))
     model.validate()
@@ -365,7 +365,7 @@ def test_zero_with_non_scalar_square_is_rejected():
 
 def test_non_simple_zero_fails_gram_positive_definite():
     z = FourierMatrixFunction.real_terms(2, cos_terms={0: SX, 1: -SX})  # (1 - cos t) chat
-    model = CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2), z)
+    model = CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()), z)
     with pytest.raises(ClosureValidationError, match="zero at t = 0.000000") as info:
         model_spectrum_at_zeros(model, count=4)
     assert "[FAIL] gram_positive_definite" in str(info.value)
@@ -374,7 +374,7 @@ def test_non_simple_zero_fails_gram_positive_definite():
 def test_smallest_positive_level_is_exact_with_many_zeros():
     # cos(4 t) chat has 8 zeros and 8 kernel levels, so the 8 lowest levels are all 0;
     # the least positive level is still 2 min |lambda| = 8
-    model = CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2),
+    model = CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()),
                         FourierMatrixFunction.real_terms(2, cos_terms={4: SX}))
     mz = model_spectrum_at_zeros(model, count=8)
     assert np.allclose(mz.levels, 0.0)
@@ -392,13 +392,13 @@ def test_identically_zero_perturbation_rejected():
 
 
 def test_grid_doubling_stability_at_calibration_point():
-    a = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 256), 10)[0]
-    b = _banded_eigs(_assemble_sparse(cosine_preset(), 100.0, 512), 10)[0]
+    a = _banded_eigs(_assemble_sparse(cosine_model(), 100.0, 256), 10)[0]
+    b = _banded_eigs(_assemble_sparse(cosine_model(), 100.0, 512), 10)[0]
     assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_convergence_report_cosine_short_sweep():
-    rep = convergence_report(cosine_preset(), [10.0, 100.0, 1000.0], 4, 128)
+    rep = convergence_report(cosine_model(), [10.0, 100.0, 1000.0], 4, 128)
     gaps = [r.gap for r in rep.rows]
     assert gaps[0] > gaps[1] > gaps[2]
     assert rep.monotone_tail and rep.rate_bound_ok
@@ -409,7 +409,7 @@ def test_convergence_report_cosine_short_sweep():
 
 def test_convergence_report_requires_increasing_sweep():
     with pytest.raises(CircleModelError):
-        convergence_report(cosine_preset(), [10.0, 10.0], 4, 128)
+        convergence_report(cosine_model(), [10.0, 10.0], 4, 128)
 
 
 def test_constant_z_grows_linearly():
@@ -419,14 +419,14 @@ def test_constant_z_grows_linearly():
 
 
 def test_banded_eigs_rejects_a_count_lanczos_cannot_resolve():
-    h = _assemble_sparse(cosine_preset(), 10.0, 64)
+    h = _assemble_sparse(cosine_model(), 10.0, 64)
     with pytest.raises(DiscretizationError, match="raise --modes"):
         _banded_eigs(h, h.shape[0] - 1)
 
 
 def test_unresolvable_discretization_errors_out():
     with pytest.raises(DiscretizationError):
-        _converged_eigs(cosine_preset(), 1.0e6, 64, 4)
+        _converged_eigs(cosine_model(), 1.0e6, 64, 4)
 
 
 def windowed_linear_model(width=1.55, harmonics=80):
@@ -448,7 +448,7 @@ def windowed_linear_model(width=1.55, harmonics=80):
     z = FourierMatrixFunction.build(2, terms)
     resampled = np.array([z(t)[0, 1].real for t in ts[::16]])
     assert np.max(np.abs(resampled - profile(ts[::16]))) < 1e-12
-    return CircleModel(2, C2, SZ, FourierMatrixFunction.zero(2), z)
+    return CircleModel(2, C2, SZ, FourierMatrixFunction(2, ()), z)
 
 
 def test_flat_exactness_of_windowed_linear_zeros():
@@ -460,7 +460,7 @@ def test_flat_exactness_of_windowed_linear_zeros():
     assert np.allclose(mz.levels, [0.0, 0.0, 2.0, 2.0])
     eigs, _, _ = _converged_eigs(model, 100.0, 128, 4)
     windowed_gap = float(np.max(np.abs(eigs[:4] - mz.levels)))
-    cosine_eigs, _, _ = _converged_eigs(cosine_preset(), 100.0, 128, 4)
+    cosine_eigs, _, _ = _converged_eigs(cosine_model(), 100.0, 128, 4)
     cosine_gap = float(np.max(np.abs(cosine_eigs[:4] - mz.levels)))
     assert windowed_gap < 1e-6
     assert windowed_gap < 1e-2 * cosine_gap
@@ -471,8 +471,8 @@ def test_windowed_zeros_are_found():
     assert np.allclose(zeros, [np.pi / 2, 3 * np.pi / 2], rtol=0.0, atol=1e-9)
 
 
-def test_carriere_preset_structure():
-    m = carriere_preset()
+def test_carriere_model_structure():
+    m = carriere_model()
     mz = model_spectrum_at_zeros(m, count=4)
     assert np.allclose([z.t for z in mz.zeros], [np.pi / 2, 3 * np.pi / 2], atol=1e-9)
     for z in mz.zeros:
@@ -481,24 +481,26 @@ def test_carriere_preset_structure():
     assert np.allclose(mz.levels, [0.0, 0.0, 4 * np.pi, 4 * np.pi])
 
 
-def test_carriere_preset_rejects_flat_stretch():
-    with pytest.raises(CircleModelError):
-        carriere_preset(1.0)
+def test_stretched_carriere_at_the_golden_stretch_is_the_corpus_model():
+    model, golden = stretched_carriere((3.0 + math.sqrt(5.0)) / 2.0), carriere_model()
+    assert [k for k, _ in model.drift.coeffs] == [k for k, _ in golden.drift.coeffs]
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for (_, a), (_, b) in zip(model.drift.coeffs, golden.drift.coeffs))
 
 
 def test_carriere_model_independent_of_drift():
-    a = model_spectrum_at_zeros(carriere_preset(2.0), count=6)
-    b = model_spectrum_at_zeros(carriere_preset(5.0), count=6)
+    a = model_spectrum_at_zeros(stretched_carriere(2.0), count=6)
+    b = model_spectrum_at_zeros(stretched_carriere(5.0), count=6)
     assert np.allclose(a.levels, b.levels, atol=1e-12)
 
 
 @pytest.mark.parametrize("stretch", [2.0, (3.0 + np.sqrt(5.0)) / 2.0, 5.0])
 def test_carriere_spectral_index_zero_for_all_stretches(stretch):
-    rep = convergence_report(carriere_preset(stretch), [10.0, 60.0, 360.0], 4, 128)
+    rep = convergence_report(stretched_carriere(stretch), [10.0, 60.0, 360.0], 4, 128)
     assert all(r.spectral_index == 0 for r in rep.rows)
 
 
-REFERENCE_MODELS = {"flat": flat_model, "carriere": carriere_preset, "cosine": cosine_preset,
+REFERENCE_MODELS = {"flat": flat_model, "carriere": carriere_model, "cosine": cosine_model,
                     "windowed": windowed_linear_model}
 REFERENCE_CASES = [(name, s, n_modes) for name in sorted(REFERENCE_MODELS)
                    for s in (10.0, 1000.0, 10000.0) for n_modes in (256, 512)]

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from basicindex import (
     CircleModel,
     FourierMatrixFunction,
-    carriere_preset,
     convergence_report,
-    cosine_preset,
 )
 from basicindex.localization import (
     _assemble_sparse,
@@ -22,6 +20,7 @@ from basicindex.localization import (
     _grading_blocks,
     model_spectrum_at_zeros,
 )
+from closure_builders import carriere_model, cosine_model
 
 C2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,7 +36,7 @@ def doubled_cosine():
                        FourierMatrixFunction.real_terms(4, cos_terms={1: np.kron(SX, EYE2)}))
 
 
-MODELS = {"cosine": cosine_preset, "carriere": carriere_preset, "doubled": doubled_cosine}
+MODELS = {"cosine": cosine_model, "carriere": carriere_model, "doubled": doubled_cosine}
 
 
 def unitary(angles):
@@ -97,10 +96,10 @@ def test_fiber_basis_leaves_counts_modes_and_low_spectrum(case):
 def test_sweep_of_a_fiber_rotated_model_matches_the_unrotated_sweep():
     # the rotated grading is not diagonal, so its blocks are not fiber rows; the sweep
     # grades the model once, and every row keeps its modes, counts and gap
-    model = rotated(cosine_preset(), unitary([0.4, 1.1, -0.7, 0.3]))
+    model = rotated(cosine_model(), unitary([0.4, 1.1, -0.7, 0.3]))
     assert np.min(np.abs(model.grading[[0, 1], [1, 0]])) > 0.1
     sweep = [10.0, 100.0, 1000.0]
-    rows, rows0 = (convergence_report(m, sweep, 4, 128).rows for m in (model, cosine_preset()))
+    rows, rows0 = (convergence_report(m, sweep, 4, 128).rows for m in (model, cosine_model()))
     for r, r0 in zip(rows, rows0):
         assert (r.n_modes, r.kernel_plus, r.kernel_minus) == (r0.n_modes, r0.kernel_plus,
                                                               r0.kernel_minus)

@@ -13,8 +13,6 @@ from basicindex import (
     RouteConsistencyError,
     ScenarioModel,
     analytic_spectrum,
-    compose_levels,
-    compose_oracle_levels,
     derived_exterior_action,
     explicit_module,
     exterior_rep,
@@ -25,7 +23,12 @@ from basicindex import (
     oscillator_1d_oracle,
     oscillator_levels,
 )
-from basicindex.model_operator import _ascending_sums, eigentuple_blocks
+from basicindex.model_operator import (
+    EigentupleBlock,
+    _ascending_sums,
+    _streams,
+    oracle_deviations,
+)
 from closure_builders import (
     ROT2,
     carriere_closure,
@@ -77,23 +80,27 @@ def test_oscillator_levels_shifted_ladder():
     assert oscillator_levels(2.0, 3) == [4.0, 8.0, 12.0]
 
 
-def test_compose_levels_mixed_pair():
+def lowest_levels(eigentuple, count):
+    """The count lowest analytic levels of one eigentuple's stream."""
+    (stream,) = _streams([eigentuple], oscillator_levels, count)
+    return list(itertools.islice(stream, count))
+
+
+def test_level_stream_mixed_pair():
     # axes with eigenvalues -1 and +1: ladders 0,2,4,... and 2,4,6,...
-    got = compose_levels(np.array([-1.0, 1.0]), 5)
+    got = lowest_levels((-1.0, 1.0), 5)
     assert got == [2.0, 4.0, 4.0, 6.0, 6.0]
 
 
-def test_compose_levels_all_positive_minimum():
-    got = compose_levels(np.array([2.0, 3.0]), 4)
+def test_level_stream_all_positive_minimum():
+    got = lowest_levels((2.0, 3.0), 4)
     assert got[0] == pytest.approx(2.0 * (2.0 + 3.0))
     assert all(x > 0 for x in got)
 
 
-def test_compose_oracle_levels_matches_analytic():
-    tup = np.array([-1.0, 2.1])
-    analytic = compose_levels(tup, 5)
-    numeric = compose_oracle_levels(tup, 5)
-    assert max(abs(a - b) for a, b in zip(analytic, numeric)) < 1e-5
+def test_oracle_deviation_matches_analytic():
+    (worst,) = oracle_deviations((EigentupleBlock(1, (-1.0, 2.1), 1),), 5)
+    assert worst < 1e-5
 
 
 def left_sums(axes):
@@ -175,7 +182,7 @@ def test_kernel_blocks_have_all_negative_tuples():
     for make in (lambda: sphere_closure("north"), lambda: cp2_closure(0.8, 2.1)):
         d = make()
         kp, km = invariant_kernel(d)
-        blocks = eigentuple_blocks(d)
+        blocks = analytic_spectrum(d, 1).blocks
         negatives = [b for b in blocks if all(x < 0 for x in b.eigentuple)]
         assert sum(b.multiplicity for b in negatives) >= kp + km
 

@@ -24,14 +24,14 @@ largest relative move.  Exits 0 when every run is identical, 1 otherwise.
 from __future__ import annotations
 
 import io
-import json
-import math
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+from clidiff import report
 
 ROOT = Path(__file__).resolve().parent.parent
 ROTATED_M, SCALING_M, SEED = (3, 6, 7), (6, 8), 7
@@ -84,49 +84,6 @@ def _run(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
     return done.returncode, done.stdout, done.stderr
 
 
-def _moves(a, b, path: str, out: dict[str, float]) -> None:
-    """Largest relative move of each key of two JSON trees (inf: not comparable)."""
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        for k in a:
-            _moves(a[k], b[k], f"{path}.{k}" if path else k, out)
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for x, y in zip(a, b):
-            _moves(x, y, path + "[]", out)
-    elif {type(a), type(b)} <= {int, float} and a != b:
-        out[path] = max(out.get(path, 0.0), abs(a - b) / max(abs(a), abs(b)))
-    elif a != b:
-        out[path] = math.inf
-
-
-def _first_difference(name: str, old: str, new: str) -> str:
-    old_lines, new_lines = old.splitlines(), new.splitlines()
-    for n, (x, y) in enumerate(zip(old_lines, new_lines), 1):
-        if x != y:
-            return f"{name} line {n}: {x!r} -> {y!r}"
-    return f"{name}: {len(old_lines)} -> {len(new_lines)} lines"
-
-
-def _report(old: tuple[int, str, str], new: tuple[int, str, str], argv: list[str]) -> list[str]:
-    lines = []
-    if old[0] != new[0]:
-        lines.append(f"exit code {old[0]} -> {new[0]}")
-    for name, x, y in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
-        if x == y:
-            continue
-        moved: dict[str, float] = {}
-        if name == "stdout" and "json" in argv:
-            try:
-                _moves(json.loads(x), json.loads(y), "", moved)
-            except json.JSONDecodeError:  # a failed run prints no JSON
-                moved = {}
-        if moved:
-            lines += [f"{name} {key}: largest relative move {rel:.3g}"
-                      for key, rel in sorted(moved.items())]
-        else:
-            lines.append(_first_difference(name, x, y))
-    return lines
-
-
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -141,7 +98,7 @@ def main(argv: list[str]) -> int:
             old = _run(old_src, cmd, tmp)
             new = _run(ROOT / "src", cmd, tmp)
             label = " ".join(Path(a).name if "/" in a else a for a in cmd)
-            (same if old == new else differ).append((label, _report(old, new, cmd)))
+            (same if old == new else differ).append((label, report(old, new, cmd)))
     print(f"{len(same)} of {len(commands)} runs identical:")
     for label, _ in same:
         print(f"  {label}")
