@@ -5,8 +5,8 @@ order: the basis element for a subset S of {1..m} is dx_{i1} ^ ... ^ dx_{ik}
 with i1 < ... < ik, stored at position sum_{i in S} 2^(i-1).  Position 0 is
 the scalar 1 and position 2^m - 1 is the volume form.  Each c(e_a), chat(e_a),
 dx_a ^ and grading is a (partial) signed permutation of this basis: one
-monomial builder, _letters, writes them as index arrays, and the dense
-builders read its dense views, plain complex numpy matrices.
+monomial builder, _letters, writes them as index arrays, and a module's c
+and grading and the dense builders below read them as plain complex matrices.
 
 Sign conventions: c(e)^2 = -1 and chat(e)^2 = +1; the letter dx_j ^ of
 _letters is left multiplication by dx_j, so reordering signs follow from

@@ -163,7 +163,7 @@ def stretched_carriere(stretch):
 
 
 # --- per-basis-element reference builders: the original dense loops, kept as an
-# oracle for the monomial builder behind the public dense ones ---
+# oracle for the monomial builder and its dense views ---
 
 def reference_wedge_op(j, m):
     """dx_j ^ (.) on Lambda*(R^m), one basis element at a time."""

@@ -69,12 +69,11 @@ def parse(data: bytes) -> tuple[int, str]:
 
 
 def _child_runs(threads: int) -> list[list]:
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(dict.fromkeys(THREAD_VARS, str(threads)),
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, str(threads)),
                PYTHONPATH=os.pathsep.join([str(ROOT / "tools"), str(ROOT / "src")]))
     probe = "import json, golden; print(json.dumps([golden.run(a) for a in golden.commands()]))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, timeout=600)
     return json.loads(done.stdout)
 
 
