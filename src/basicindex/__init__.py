@@ -32,7 +32,6 @@ from .linalg import (
     DegenerateEigenvalueError,
     JointEigenstructure,
     LinalgError,
-    Subspace,
     hermitian_eig,
     joint_eig,
     nullspace,

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliff import CliffordModule, derived_exterior_action, exterior_rep
-from .linalg import LinalgError, Subspace, nullspace
+from .linalg import LinalgError, nullspace
 
 Array = np.ndarray
+INTERSECTION_TOL = 1e-8  # the least leak floor of invariant_dim_in
 
 
 class NotInvariantError(ValueError):
@@ -88,34 +89,33 @@ def derive_infinitesimal_action(module: CliffordModule, x: Array) -> Array:
     return derived_exterior_action(_embed_slice(np.asarray(x, dtype=float), module, False))
 
 
-def invariant_dim_in(group: HolonomyGroup, w: Subspace, tol: float = 1e-9) -> int:
-    """Dimension of the fixed vectors of the group action inside w.
+def invariant_dim_in(group: HolonomyGroup, basis: Array, tol: float = 1e-9) -> int:
+    """Dimension of the fixed vectors of the group action inside the span of
+    basis, whose columns are orthonormal.
 
     The fixed space of the generators is the fixed space of the group they
     generate, and the kernel of Lie-algebra generators is the kernel of the
     generated algebra, so stacking the restricted generators suffices.
-    w must be group-invariant as a subspace; a violating generator raises
-    NotInvariantError naming it, since genuine foliation data guarantees
-    invariance and a violation means the scenario data is inconsistent.
+    The span must be group-invariant; a generator a that moves it by more than
+    max(tol, INTERSECTION_TOL) max(1, ||a||) raises NotInvariantError naming
+    it, since genuine foliation data guarantees invariance and a violation
+    means the scenario data is inconsistent.
     """
-    if group.trivial or w.dim == 0:
-        return w.dim
-    b = w.basis
+    dim = basis.shape[1]
+    if group.trivial or dim == 0:
+        return dim
     actions = [("components", i, rho) for i, (_, rho) in enumerate(group.components)]
     actions += [("infinitesimal", i, dx) for i, (_, dx) in enumerate(group.infinitesimal)]
+    rows = []
     for kind, i, a in actions:
-        act = a @ b
-        leak = np.linalg.norm(act - b @ (b.conj().T @ act))
-        if leak > max(tol, w.tol) * max(1.0, np.linalg.norm(a)):
+        act = a @ basis
+        restricted = basis.conj().T @ act
+        leak = np.linalg.norm(act - basis @ restricted)
+        if leak > max(tol, INTERSECTION_TOL) * max(1.0, np.linalg.norm(a)):
             raise NotInvariantError(
                 f"subspace not H-invariant: {kind}[{i}] leaks {leak:.3e} outside the subspace")
-    rows = []
-    eye = np.eye(w.dim, dtype=complex)
-    for _, rho in group.components:
-        rows.append(b.conj().T @ rho @ b - eye)
-    for _, dx in group.infinitesimal:
-        rows.append(b.conj().T @ dx @ b)
-    return nullspace(np.vstack(rows), tol).dim
+        rows.append(restricted - np.eye(dim) if kind == "components" else restricted)
+    return nullspace(np.vstack(rows), tol)
 
 
 def check_equivariance(group: HolonomyGroup, module: CliffordModule,

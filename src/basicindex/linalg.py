@@ -2,8 +2,8 @@
 
 Thin, contract-enforcing layer over LAPACK: Hermitian eigendecomposition,
 the joint eigenbasis of commuting Hermitian operators that square to scalars
-(one eigendecomposition, whose eigenvalues order the sign patterns),
-orthonormal subspaces, and null spaces.  All functions are pure; identical
+(one eigendecomposition, whose eigenvalues order the sign patterns), and
+null-space dimensions.  All functions are pure; identical
 inputs give identical outputs within one build (eigenvector phases are normalized deterministically).
 
 The private product kernels below evaluate an index plan of rows
@@ -233,23 +233,6 @@ def hermitian_eig(mat: Array, tol: float = 1e-9) -> tuple[Array, Array]:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """A complex subspace given by orthonormal columns, with its tolerance."""
-
-    ambient_dim: int
-    basis: Array  # shape (ambient_dim, dim), orthonormal columns
-    tol: float
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @staticmethod
-    def full(ambient_dim: int, tol: float = 1e-9) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
-
-
-@dataclass(frozen=True)
 class JointEigenstructure:
     """Common unitary eigenbasis of a commuting Hermitian family.
 
@@ -328,9 +311,9 @@ def _sign_split(mats: list[Array], tol: float) -> tuple[Array, Array]:
     return basis, tuples
 
 
-def nullspace(mat: Array, tol: float = 1e-9) -> Subspace:
-    """Span of right-singular directions of mat with singular value below the
-    cutoff, via hermitian_eig on M^H M.
+def nullspace(mat: Array, tol: float = 1e-9) -> int:
+    """Dimension of the null space of mat: the number of its singular values
+    below the cutoff, read from the eigenvalues of M^H M.
 
     The gram route cannot resolve singular values below sqrt(machine eps)
     times the largest one, so the cutoff is max(tol, that floor) relative to
@@ -338,11 +321,8 @@ def nullspace(mat: Array, tol: float = 1e-9) -> Subspace:
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
-        return Subspace.full(mat.shape[1], tol)
-    gram = mat.conj().T @ mat
-    w, v = hermitian_eig(gram, 1e-9)
-    svals = np.sqrt(np.clip(w, 0.0, None))
+        return mat.shape[1]
+    svals = np.sqrt(np.clip(np.linalg.eigvalsh(mat.conj().T @ mat), 0.0, None))
     floor = 8.0 * np.sqrt(np.finfo(float).eps)
-    cutoff = max(tol, floor) * max(1.0, float(svals[-1]) if svals.size else 1.0)
-    keep = svals < cutoff
-    return Subspace(mat.shape[1], v[:, keep], tol)
+    cutoff = max(tol, floor) * max(1.0, float(svals[-1]))
+    return int(np.count_nonzero(svals < cutoff))

@@ -211,7 +211,7 @@ def _kernel_dim_for_sign(a: ClosureAnalysis, side: int) -> int:
         r = restricted("infinitesimal", gi, dx)
         # the flow moves a drifting form: no invariants there
         rows.append(r + eye if np.linalg.norm(x @ lam + lam @ x.T) > 1e-7 else r)
-    return nullspace(np.vstack(rows), a.tol).dim
+    return nullspace(np.vstack(rows), a.tol)
 
 
 def invariant_kernel(d: ClosureDatum, tol: float = DEFAULT_TOL) -> tuple[int, int]:

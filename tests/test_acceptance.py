@@ -80,7 +80,7 @@ def test_criterion_2_per_closure_detail():
     assert detail.plus.dim_intersection == 1 and detail.minus.dim_intersection == 0
     area_form = np.zeros(4, dtype=complex)
     area_form[3] = 1.0
-    overlap = abs(np.vdot(area_form, detail.plus.intersection.basis[:, 0]))
+    overlap = abs(np.vdot(area_form, detail.plus.intersection[:, 0]))
     assert abs(overlap - 1.0) < 1e-9
 
     for d in load_corpus_scenario("carriere").closures:

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import basicindex
-from basicindex import ClosureDatum, ScenarioModel, localization
+from basicindex import ClosureDatum, ScenarioModel, explicit_module, localization
 from basicindex.cli import main
 from basicindex.scenario import load_corpus_scenario, scenario_to_dict
 from closure_builders import hat_closure
@@ -215,7 +215,7 @@ def test_cli_import_loads_no_scipy():
 EXPORTS = """CircleModel CircleModelError CliffordModule ClosureDatum ClosureValidationError
 ConvergenceReport DegenerateEigenvalueError DiscretizationError FourierMatrixFunction
 HolonomyGroup JointEigenstructure LinalgError LocalIndexDetail ModelSpectrum NotInvariantError
-RouteConsistencyError ScenarioFormatError ScenarioModel Subspace analytic_spectrum
+RouteConsistencyError ScenarioFormatError ScenarioModel analytic_spectrum
 check_equivariance cliff clifford_hat convergence_report corpus_names derived_exterior_action
 explicit_module exterior_module exterior_rep global_index hermitian_eig holonomy
 invariant_dim_in invariant_kernel joint_eig linalg load_corpus_scenario load_scenario
@@ -377,6 +377,21 @@ def test_degenerate_eigenvalue_fails_alike_in_every_command(tmp_path, capsys):
                  ["spectrum", path, "--closure", "north_pole"]):
         assert main(argv) == 1, argv
         assert "check failed: degenerate eigenvalue" in capsys.readouterr().err, argv
+
+
+def test_grading_is_gated_at_the_users_tol_alone(tmp_path, capsys):
+    # the north pole with its grading off an involution by 1e-4: validate_closure
+    # gates the grading at --tol, and no command gates it again more tightly
+    north = load_corpus_scenario("sphere_suspension").closures[0]
+    module = explicit_module(list(north.module.c), 1.0001 * north.module.grading)
+    doc = scenario_to_dict(ScenarioModel("north", 2, (
+        ClosureDatum(north.name, module, tuple(north.z), north.holonomy),)))
+    path = write_scenario(tmp_path, doc)
+    assert main(["--tol", "1e-3", "validate", path]) == 0
+    assert main(["--tol", "1e-3", "index", path]) == 0
+    assert "total: 1" in capsys.readouterr().out
+    assert main(["--tol", "1e-3", "model-check", path]) == 0
+    assert main(["validate", path]) == 1
 
 
 @pytest.mark.parametrize("t, code", [(3e-9, 1), (2e-8, 0)])

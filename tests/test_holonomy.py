@@ -8,7 +8,6 @@ from basicindex import (
     HolonomyGroup,
     NotInvariantError,
     ScenarioModel,
-    Subspace,
     check_equivariance,
     exterior_module,
     exterior_rep,
@@ -17,13 +16,17 @@ from basicindex import (
     validate_closure,
 )
 from basicindex.cli import main
-from basicindex.holonomy import derive_component_action, derive_infinitesimal_action
+from basicindex.holonomy import (
+    INTERSECTION_TOL,
+    derive_component_action,
+    derive_infinitesimal_action,
+)
 from closure_builders import ROT2, so2_group, sphere_closure, torus_group
 
 
 def coordinate_span(n, cols):
-    """The span of the coordinate vectors cols of C^n."""
-    return Subspace(n, np.eye(n, dtype=complex)[:, cols], 1e-9)
+    """Orthonormal columns spanning the coordinate vectors cols of C^n."""
+    return np.eye(n, dtype=complex)[:, cols]
 
 
 def svd_kernel_oracle(rows, n):
@@ -43,13 +46,13 @@ def rotation4(equal_speed=True):
 
 def test_trivial_group_full_space():
     g = HolonomyGroup.trivial_group(2)
-    assert invariant_dim_in(g, Subspace.full(4)) == 4
+    assert invariant_dim_in(g, np.eye(4)) == 4
 
 
 def test_so2_invariants_on_plane_forms():
     module = exterior_module(2, "parity")
     group = so2_group(module)
-    assert invariant_dim_in(group, Subspace.full(4)) == 2
+    assert invariant_dim_in(group, np.eye(4)) == 2
     # spanned by the scalar and the area form
     for pos in (0, 3):
         assert invariant_dim_in(group, coordinate_span(4, [pos])) == 1
@@ -62,7 +65,7 @@ def test_equal_speed_double_rotation_invariants():
     act = derive_infinitesimal_action(module, x)
     group = HolonomyGroup(4, ((x, act),), ())
     oracle_dim = svd_kernel_oracle([act], 16)
-    assert invariant_dim_in(group, Subspace.full(16)) == oracle_dim == 6
+    assert invariant_dim_in(group, np.eye(16)) == oracle_dim == 6
     even_forms = coordinate_span(16, np.diag(module.grading).real > 0)
     assert invariant_dim_in(group, even_forms) == 6
 
@@ -73,7 +76,7 @@ def test_independent_torus_invariants():
     group = torus_group(module)
     rows = [dx for _, dx in group.infinitesimal]
     oracle_dim = svd_kernel_oracle(rows, 16)
-    assert invariant_dim_in(group, Subspace.full(16)) == oracle_dim == 4
+    assert invariant_dim_in(group, np.eye(16)) == oracle_dim == 4
 
 
 def test_invariant_dim_in_area_form():
@@ -87,6 +90,21 @@ def test_invariant_dim_in_rejects_non_invariant():
     w = coordinate_span(4, [1])  # span{dx}
     with pytest.raises(NotInvariantError):
         invariant_dim_in(so2_group(module), w)
+
+
+@pytest.mark.parametrize("leak, raises", [(1e-7, True), (1e-9, False)])
+def test_invariant_dim_in_leak_floor(leak, raises):
+    # a component turning e_0 towards e_1 moves span{e_0} by leak ||rho||_F, which the
+    # floor INTERSECTION_TOL ||rho||_F rejects from above and accepts from below
+    s = leak * np.sqrt(2.0)
+    rho = np.array([[np.sqrt(1.0 - s * s), -s], [s, np.sqrt(1.0 - s * s)]], dtype=complex)
+    group = HolonomyGroup(1, (), ((np.eye(1), rho),))
+    assert (leak > INTERSECTION_TOL) == raises
+    if raises:
+        with pytest.raises(NotInvariantError, match=r"components\[0\] leaks"):
+            invariant_dim_in(group, coordinate_span(2, [0]))
+    else:
+        assert invariant_dim_in(group, coordinate_span(2, [0])) == 1
 
 
 def test_invariant_dim_in_trivial_group():
@@ -104,7 +122,7 @@ def test_cyclic_averaging_projector(n):
     # the group average projects onto the fixed space, so its trace is the fixed dimension
     avg = sum(np.linalg.matrix_power(rho, k) for k in range(n)) / n
     assert np.linalg.norm(avg @ avg - avg) < 1e-9
-    assert abs(np.trace(avg) - invariant_dim_in(group, Subspace.full(4))) < 1e-9
+    assert abs(np.trace(avg) - invariant_dim_in(group, np.eye(4))) < 1e-9
 
 
 def test_redundant_generator_changes_nothing():
@@ -114,7 +132,7 @@ def test_redundant_generator_changes_nothing():
     rho = derive_component_action(module, g)
     one = HolonomyGroup(2, (), ((g, rho),))
     two = HolonomyGroup(2, (), ((g, rho), (g @ g, rho @ rho)))
-    full = Subspace.full(4)
+    full = np.eye(4)
     assert invariant_dim_in(one, full) == invariant_dim_in(two, full) == 2
 
 

@@ -184,7 +184,7 @@ def test_sphere_north_index_and_detail():
     assert detail.plus.dim_intersection == 1
     assert detail.plus.dim_invariant == 1
     assert detail.minus.dim_intersection == 0
-    vec = detail.plus.intersection.basis[:, 0]
+    vec = detail.plus.intersection[:, 0]
     target = np.zeros(4, dtype=complex)
     target[3] = 1.0  # the area form
     assert abs(abs(np.vdot(target, vec)) - 1.0) < 1e-9
@@ -194,7 +194,7 @@ def test_sphere_south_index():
     ind, detail = local_index(sphere_closure("south"))
     assert ind == 1
     # the intersection is the scalar line at the south pole
-    vec = detail.plus.intersection.basis[:, 0]
+    vec = detail.plus.intersection[:, 0]
     assert abs(abs(vec[0]) - 1.0) < 1e-9
 
 

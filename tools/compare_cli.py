@@ -11,10 +11,11 @@ exit code byte for byte.  The list is ``validate``, ``index`` and
 ``spectrum --numerical`` (JSON) on the scaling m = 8 file, ``localize`` (text
 and JSON) on every corpus scenario with a circle model, ``run-corpus`` and
 ``list-examples``.
-The inputs are the bundled corpus and the ``perfbench/gen.py`` rotated
-m = 3, 6, 7 and scaling m = 6, 8 files, each generated from seed 7 into a
-temporary directory; ``gen.py`` is imported and nothing under ``perfbench/``
-is written.
+The inputs are the bundled corpus, the committed files in
+``golden.FIXTURES`` and the ``perfbench/gen.py`` rotated m = 3, 6, 7 and
+scaling m = 6, 8 files, each generated from seed 7 into a temporary
+directory; ``gen.py`` is imported and nothing under ``perfbench/`` is
+written.
 
 Prints the identical runs, then each differing run with its first differing
 line, and for JSON each moved key (list indices shown as ``[]``) with its
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 from clidiff import report
+from golden import FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
 ROTATED_M, SCALING_M, SEED = (3, 6, 7), (6, 8), 7
@@ -53,7 +55,7 @@ def _commands(work: Path) -> list[list[str]]:
     corpus = bi.corpus_names()
     commands = []
     for fmt in ([], ["--format", "json"]):
-        for scenario in [*corpus, *map(str, files)]:
+        for scenario in [*corpus, *map(str, FIXTURES), *map(str, files)]:
             commands += [[cmd, scenario, *fmt] for cmd in ("validate", "index", "model-check")]
         for name in corpus:
             model = bi.load_corpus_scenario(name)

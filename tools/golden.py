@@ -5,9 +5,10 @@ Usage: python3 tools/golden.py
 Rewrites ``tests/golden/``: one file per command, holding a header line
 with the command and its exit code, then its stdout.  The commands are
 ``validate``, ``index`` and ``model-check`` (text and JSON) on every corpus
-scenario, ``spectrum`` (text and JSON) on every corpus closure,
-``run-corpus`` and ``list-examples``, each run in-process through
-``basicindex.cli.main``.
+scenario and every file in FIXTURES, ``spectrum`` (text and JSON) on every
+corpus closure, ``run-corpus`` and ``list-examples``, each run in-process
+through ``basicindex.cli.main``.  Snapshot names and headers show an input
+file by its name alone, so they do not depend on where the repository is.
 
 Before writing, the commands run in two child interpreters, one under
 1-thread and one under 2-thread BLAS; any output that differs between them
@@ -28,6 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+# committed input files outside the corpus, which is also a benchmark input;
+# tools/compare_cli.py runs them too
+FIXTURES = (ROOT / "tests" / "fixtures" / "reflected_m3.json",)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -37,8 +41,9 @@ def commands() -> list[list[str]]:
     corpus = bi.corpus_names()
     out = []
     for fmt in ([], ["--format", "json"]):
+        for scenario in [*corpus, *map(str, FIXTURES)]:
+            out += [[cmd, scenario, *fmt] for cmd in ("validate", "index", "model-check")]
         for name in corpus:
-            out += [[cmd, name, *fmt] for cmd in ("validate", "index", "model-check")]
             out += [["spectrum", name, "--closure", d.name, *fmt]
                     for d in bi.load_corpus_scenario(name).closures]
     return out + [["run-corpus"], ["list-examples"]]
@@ -54,12 +59,16 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _shown(argv: list[str]) -> list[str]:
+    return [Path(a).name if "/" in a else a for a in argv]
+
+
 def path(argv: list[str]) -> Path:
-    return GOLDEN / ("-".join(a.lstrip("-") for a in argv) + ".txt")
+    return GOLDEN / ("-".join(a.lstrip("-") for a in _shown(argv)) + ".txt")
 
 
 def snapshot(argv: list[str], code: int, stdout: str) -> str:
-    return f"# basicindex {' '.join(argv)} -> exit {code}\n{stdout}"
+    return f"# basicindex {' '.join(_shown(argv))} -> exit {code}\n{stdout}"
 
 
 def parse(data: bytes) -> tuple[int, str]:

@@ -25,16 +25,12 @@ from pathlib import Path
 import compare_cli
 
 PERFBENCH = "read by perfbench/, whose benchmark inputs and checks use it"
-# perfbench/ also reads derived_exterior_action and CrossCheckReport.consistent, which the
-# commands reach, and the SweepRow field spectral_index, which is no function
+# perfbench/ also reads derived_exterior_action, exterior_rep and CrossCheckReport.consistent,
+# which the commands reach, and the SweepRow field spectral_index, which is no function
 EXCEPTIONS = {
     "cliff.clifford_hat": PERFBENCH + " (gen.py)",
-    "cliff.exterior_rep": PERFBENCH + " (gen.py)",
     "scenario.scenario_to_dict": PERFBENCH + " (gen.py)",
     "model_operator.invariant_kernel": PERFBENCH + " (workloads.py)",
-    "holonomy.derive_component_action": "only inputs whose holonomy has components "
-                                        "derived from the exterior algebra reach it",
-    "linalg.Subspace.full": "only nullspace of a matrix with no entries reaches it",
 }
 
 
